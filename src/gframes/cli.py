@@ -180,7 +180,6 @@ class AnalysisConfig:
     max_r: int = 3
     shifts_file: Optional[str] = None
     mc_samples: Optional[int] = None
-    workers: int = 1
 
     def validate(self):
         if self.command not in COMMANDS:
@@ -192,7 +191,7 @@ class AnalysisConfig:
         for name in ("tie_tol", "group_tol", "radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name.replace('_', '-')} must be positive")
-        for name in ("trials", "max_r", "workers"):
+        for name in ("trials", "max_r"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name.replace('_', '-')} must be at least 1")
         if self.mc_samples is not None and self.mc_samples < 1:
@@ -357,7 +356,7 @@ def _dr_rows(bundle, dual, config: AnalysisConfig) -> list:
             value, subset = d_r_lower_bound(bundle.frame, dual, r, config.mc_samples, config.seed)
             exact = False
         else:
-            value, subset = d_r(bundle.frame, dual, r, guard=DR_GUARD, workers=config.workers)
+            value, subset = d_r(bundle.frame, dual, r, guard=DR_GUARD)
         row = {
             "r": r,
             "value": value,
@@ -384,7 +383,6 @@ def build_report(config: AnalysisConfig) -> dict:
         "radius": config.radius,
         "emit_vectors": config.emit_vectors,
         "output_format": config.output_format,
-        "workers": config.workers,
     }
     if config.command == "dr-table":
         echo["max_r"] = config.max_r
@@ -426,11 +424,12 @@ def build_report(config: AnalysisConfig) -> dict:
         return report
 
     # dr-table
-    table = {"canonical": _dr_rows(bundle, canonical_dual(bundle), config)}
+    canonical = canonical_dual(bundle)
+    table = {"canonical": _dr_rows(bundle, canonical, config)}
     custom = _load_shifts(bundle, config)
     if custom is not None:
         table["custom"] = _dr_rows(bundle, custom, config)
-    d1_value, _ = d1_fast(bundle.frame, canonical_dual(bundle))
+    d1_value, _ = d1_fast(bundle.frame, canonical)
     report["erasure"] = {"d1_canonical": d1_value, "dr_table": table}
     return report
 
@@ -582,8 +581,6 @@ def _build_parser() -> _Parser:
                          help="dual-family sampling radius (default 0.01)")
         cmd.add_argument("--emit-vectors", action="store_true",
                          help="include raw frame vectors (basis-dependent) in the frame section")
-        cmd.add_argument("--workers", type=int, default=1,
-                         help="worker count for subset enumeration (result is identical)")
         if name == "dr-table":
             cmd.add_argument("--max-r", type=int, default=3, help="largest erasure size R (default 3)")
             cmd.add_argument("--shifts-file", default=None,
@@ -613,7 +610,6 @@ def main(argv=None) -> int:
         max_r=getattr(args, "max_r", 3),
         shifts_file=getattr(args, "shifts_file", None),
         mc_samples=getattr(args, "mc_samples", None),
-        workers=args.workers,
     )
     try:
         return run(config)

@@ -14,9 +14,8 @@ which exhausts all duals of a graph frame) for something strictly better.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .exceptions import EnumerationGuardError
 from .frames import DualCandidate, Frame, GraphFrameBundle, dual_family_member
 from .graphs import Graph
-from .linalg import numerical_rank, spectral_norm
+from .linalg import numerical_rank
 from .walkreg import is_walk_regular
 
 VERDICT_UNIQUE_ALL = "UNIQUE_OD_ALL_ERASURES"
@@ -37,6 +36,11 @@ VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 SHIFT_FAMILY_NOTE = "per-component shifts of the canonical dual (all duals of a graph frame)"
 
 _IMPROVEMENT_TOL = 1e-9
+
+#: Relative distance from the maximum within which norms count as tied.
+_TIE_TOL = 1e-9
+#: Subsets evaluated per batch of stacked r×r Gramian blocks.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,70 +117,63 @@ def d1_fast(frame: Frame, dual) -> tuple:
     return float(products.max()), products
 
 
-def _chunk_best(h, f, subsets):
-    best_val, best_set = -1.0, None
-    for subset in subsets:
-        value = spectral_norm(h[:, subset] @ f[:, subset].T)
-        if value > best_val:
-            best_val, best_set = value, subset
-    return best_val, best_set
+def _worst_subset(frame: Frame, h: np.ndarray, subsets: np.ndarray) -> tuple:
+    """The largest error-operator norm over the erased sets in the rows of
+    ``subsets``, and the first row within a relative ``_TIE_TOL`` of it.
+    Each norm uses ``‖H_Λ F_Λ^T‖² = λmax(G_H[Λ,Λ] · G_F[Λ,Λ])``, whose r×r
+    product of positive semidefinite blocks has real, non-negative
+    eigenvalues; blocks are stacked ``_CHUNK`` subsets at a time."""
+    g_f, g_h = frame.gramian, h.T @ h
+    squares = np.empty(len(subsets))
+    for start in range(0, len(subsets), _CHUNK):
+        chunk = subsets[start:start + _CHUNK]
+        rows, cols = chunk[:, :, None], chunk[:, None, :]
+        eig = np.linalg.eigvals(g_h[rows, cols] @ g_f[rows, cols])
+        squares[start:start + _CHUNK] = eig.real.max(axis=1)
+    norms = np.sqrt(np.maximum(squares, 0.0))
+    top = float(norms.max())
+    first = int(np.argmax(norms >= top * (1.0 - _TIE_TOL)))
+    return top, tuple(int(i) for i in subsets[first])
 
 
-def d_r(frame: Frame, dual, r: int, guard: int = 10**6, workers: int = 1) -> tuple:
+def _check_r(frame: Frame, r) -> None:
+    if not isinstance(r, int) or not 1 <= r < frame.count:
+        raise ValueError(f"need 1 <= r < {frame.count}, got {r!r}")
+
+
+def d_r(frame: Frame, dual, r: int, guard: int = 10**6) -> tuple:
     """Exhaustive D^r: the largest error-operator norm over all r-subsets.
 
-    Returns ``(value, subset)`` with the lexicographically first argmax.
-    Enumeration beyond ``guard`` subsets raises
-    :class:`EnumerationGuardError` instead of silently subsampling; see
-    :func:`d_r_lower_bound` for the sampled alternative. ``workers``
-    splits the enumeration; the reduction is a pure max, so the result is
-    identical for any worker count.
+    Returns ``(value, subset)``: the maximum, from one r×r eigenproblem on
+    Gramian blocks per subset, and the first r-subset of frame columns in
+    ``combinations`` order whose norm is within a relative 1e-9 of it, so
+    rounding never picks among tied subsets. Enumeration beyond ``guard``
+    subsets raises :class:`EnumerationGuardError` instead of silently
+    subsampling; see :func:`d_r_lower_bound` for the sampled alternative.
     """
     h = _dual_matrix(frame, dual)
-    n = frame.count
-    if not isinstance(r, int) or not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < {n}, got {r!r}")
-    total = math.comb(n, r)
+    _check_r(frame, r)
+    total = math.comb(frame.count, r)
     if total > guard:
         raise EnumerationGuardError(
             f"D^{r} needs {total} subsets (guard {guard}); use d_r_lower_bound to sample"
         )
-    f = frame.synthesis
-    subsets = combinations(range(n), r)
-    if workers <= 1:
-        return _chunk_best(h, f, subsets)
-    chunks = []
-    while True:
-        chunk = tuple(islice(subsets, 4096))
-        if not chunk:
-            break
-        chunks.append(chunk)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda c: _chunk_best(h, f, c), chunks))
-    best_val, best_set = -1.0, None
-    for value, subset in results:
-        if value > best_val:
-            best_val, best_set = value, subset
-    return best_val, best_set
+    flat = chain.from_iterable(combinations(range(frame.count), r))
+    subsets = np.fromiter(flat, dtype=np.intp, count=total * r).reshape(total, r)
+    return _worst_subset(frame, h, subsets)
 
 
 def d_r_lower_bound(frame: Frame, dual, r: int, samples: int, seed: int = 0) -> tuple:
     """Monte-Carlo lower bound on D^r from ``samples`` random r-subsets;
-    a bound only, clearly weaker than the exhaustive maximum."""
+    a bound only, clearly weaker than the exhaustive maximum. The subset
+    returned is the first drawn within a relative 1e-9 of the bound."""
     h = _dual_matrix(frame, dual)
-    n = frame.count
-    if not isinstance(r, int) or not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < {n}, got {r!r}")
+    _check_r(frame, r)
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    best_val, best_set = -1.0, None
-    for _ in range(samples):
-        subset = tuple(sorted(rng.choice(n, size=r, replace=False).tolist()))
-        value = spectral_norm(h[:, subset] @ frame.synthesis[:, subset].T)
-        if value > best_val:
-            best_val, best_set = value, subset
-    return best_val, best_set
+    draws = [np.sort(rng.choice(frame.count, size=r, replace=False)) for _ in range(samples)]
+    return _worst_subset(frame, h, np.array(draws, dtype=np.intp))
 
 
 def _canonical_matrix(bundle: GraphFrameBundle) -> np.ndarray:
@@ -194,7 +191,7 @@ def canonical_products(bundle: GraphFrameBundle) -> np.ndarray:
     return bundle.in_vertex_order(_products_by_column(bundle))
 
 
-def lambda1_set(bundle: GraphFrameBundle, tie_tol: float = 1e-9) -> tuple:
+def lambda1_set(bundle: GraphFrameBundle, tie_tol: float = _TIE_TOL) -> tuple:
     """Sorted original vertices whose canonical product attains the maximum,
     with products within a relative ``tie_tol`` counted as tied."""
     products = _products_by_column(bundle)

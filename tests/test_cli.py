@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
+from gframes import fixtures
 from gframes.cli import REPORT_SCHEMA
 
 from _oracles import fixture_path, run_cli
@@ -101,6 +102,14 @@ class TestJsonReports:
         assert rows[1]["samples"] == 5
         assert rows[1]["value"] <= 1.195228609 + 1e-9   # bounded by the exact D^2
 
+    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    def test_dr_table_single_erasure_row_is_first_lambda1_vertex(self, name):
+        _, verdict, _ = run_cli(["od-verdict", fixture_path(name)])
+        code, out, _ = run_cli(["dr-table", fixture_path(name), "--max-r", "1"])
+        assert code == 0
+        row = json.loads(out)["erasure"]["dr_table"]["canonical"][0]
+        assert row["max_subset"] == [min(json.loads(verdict)["erasure"]["lambda1_set"])]
+
     def test_dr_table_custom_dual(self, tmp_path):
         shifts = tmp_path / "shifts.json"
         shifts.write_text("[[0.001, -0.001, 0, 0, 0, 0, 0]]")
@@ -173,11 +182,6 @@ class TestDeterminism:
         second = run_cli([command, fixture_path(name), "--trials", "200"])
         assert first == second
         assert first[0] == 0
-
-    def test_workers_do_not_change_results(self):
-        base = run_cli(["dr-table", fixture_path("c4"), "--max-r", "3"])
-        threaded = run_cli(["dr-table", fixture_path("c4"), "--max-r", "3", "--workers", "4"])
-        assert json.loads(base[1])["erasure"] == json.loads(threaded[1])["erasure"]
 
 
 class TestOtherFormats:
