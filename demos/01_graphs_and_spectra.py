@@ -37,7 +37,7 @@ print("row sums are exactly zero:", lap.sum(axis=1).tolist())
 print("L equals D - A:", np.array_equal(
     lap, np.diag(degree_sequence(g)) - adjacency_matrix(g)))
 
-# Eigendecomposition: deterministic Jacobi sweeps, eigenvalues descending.
+# Eigendecomposition: LAPACK eigh, eigenvalues descending, fixed eigenvector signs.
 spectrum = eigh_symmetric(lap)
 print("\nLaplacian eigenvalues:", np.round(spectrum.eigenvalues, 9))
 print("one zero eigenvalue per component:",

@@ -32,7 +32,7 @@ from .exceptions import ConvergenceError, EdgeListError, EnumerationGuardError
 from .graphs import degree_sequence, is_regular, laplacian_matrix, parse_edge_list
 from .linalg import eigh_symmetric
 from .walkreg import is_walk_regular, is_walk_regular_definition
-from .frames import build_lg_frame, canonical_dual, dual_family_member, spark, spark_via_components
+from .frames import Frame, build_lg_frame, canonical_dual, dual_family_member, spark, spark_via_components
 from .erasure import (
     SHIFT_FAMILY_NOTE,
     canonical_verdict,
@@ -340,7 +340,12 @@ def _load_shifts(bundle, config: AnalysisConfig):
 
 
 def _dr_rows(bundle, dual, config: AnalysisConfig) -> list:
-    n = bundle.frame.count
+    # Columns in vertex order, so subsets are enumerated, tie-broken and
+    # reported in the caller's labels.
+    order = list(bundle.relabeling)
+    frame = Frame(bundle.frame.synthesis[:, order])
+    h = dual.realized[:, order]
+    n = frame.count
     r_values = range(1, min(config.max_r, n - 1) + 1)
     if config.mc_samples is None:
         worst = max((math.comb(n, r) for r in r_values), default=0)
@@ -353,15 +358,11 @@ def _dr_rows(bundle, dual, config: AnalysisConfig) -> list:
     for r in r_values:
         exact = True
         if math.comb(n, r) > DR_GUARD:
-            value, subset = d_r_lower_bound(bundle.frame, dual, r, config.mc_samples, config.seed)
+            value, subset = d_r_lower_bound(frame, h, r, config.mc_samples, config.seed)
             exact = False
         else:
-            value, subset = d_r(bundle.frame, dual, r, guard=DR_GUARD)
-        row = {
-            "r": r,
-            "value": value,
-            "max_subset": sorted(bundle.column_to_vertex[j] + 1 for j in subset),
-        }
+            value, subset = d_r(frame, h, r, guard=DR_GUARD)
+        row = {"r": r, "value": value, "max_subset": [v + 1 for v in subset]}
         if not exact:
             row["lower_bound"] = True
             row["samples"] = config.mc_samples
@@ -616,12 +617,13 @@ def main(argv=None) -> int:
     except EnumerationGuardError as exc:
         print(f"gframes: enumeration guard exceeded: {exc}", file=sys.stderr)
         return 3
+    except (ConvergenceError, np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
+        # ahead of ValueError, which LinAlgError subclasses
+        print(f"gframes: numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (EdgeListError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"gframes: error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, OverflowError, ArithmeticError, RuntimeError) as exc:
-        print(f"gframes: numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Dense symmetric eigensolver and the matrix utilities built on it.
 
-The eigensolver is a cyclic Jacobi sweep: unconditionally stable for real
-symmetric matrices at the sizes this package targets (a few hundred at
-most), and fully deterministic — fixed sweep order, stable descending
-eigenvalue sort, and a sign convention that makes each eigenvector's
-largest-magnitude entry positive. Everything downstream that reports
-numbers is invariant under the remaining basis freedom.
+The eigensolver is LAPACK's symmetric driver (``np.linalg.eigh``) wrapped
+in a deterministic contract: stable descending eigenvalue sort, a sign
+convention that makes each eigenvector's largest-magnitude entry
+positive, and an orthogonality and reconstruction check whose failure,
+like a LAPACK failure, raises :class:`ConvergenceError`. Everything
+downstream that reports numbers is invariant under the remaining basis
+freedom.
 
 Scalars are real throughout: every matrix this package constructs is real
 symmetric, so real orthogonal eigenvector bases always exist.
@@ -15,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .exceptions import ConvergenceError
 
 _INT64_MAX = 2**63 - 1
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,57 +56,13 @@ def _require_square(m) -> np.ndarray:
     return a
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _jacobi(a: np.ndarray) -> tuple:
-    """Diagonalize symmetric ``a`` in place; returns (eigenvalues unsorted,
-    accumulated rotation matrix whose columns are the eigenvectors)."""
-    n = a.shape[0]
-    v = np.eye(n)
-    threshold = 1e-12 * float(np.linalg.norm(a))
-    for _ in range(_MAX_SWEEPS):
-        if _off_diagonal_norm(a) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        if _off_diagonal_norm(a) > threshold:
-            raise ConvergenceError(
-                f"Jacobi sweep did not converge within {_MAX_SWEEPS} sweeps"
-            )
-    return np.diag(a).copy(), v
-
-
 def eigh_symmetric(m, zero_tol: Optional[float] = None) -> SymmetricSpectrum:
-    """Eigendecomposition of a real symmetric matrix via cyclic Jacobi sweeps.
+    """Eigendecomposition of a real symmetric matrix via LAPACK (``np.linalg.eigh``).
 
     The input must be symmetric up to a 1e-12 entrywise slack (it is
-    symmetrized by averaging before the sweeps). ``zero_tol`` defaults to
+    symmetrized by averaging before the solve). ``zero_tol`` defaults to
     ``1e-9 * max(1, max |eigenvalue|)``. Raises :class:`ConvergenceError`
-    when the sweeps fail or the result misses its accuracy contract.
+    when LAPACK fails or the result misses its accuracy contract.
     """
     a = _require_square(m)
     scale = float(np.abs(a).max()) if a.size else 0.0
@@ -114,14 +70,16 @@ def eigh_symmetric(m, zero_tol: Optional[float] = None) -> SymmetricSpectrum:
     if asym > 1e-12 * max(1.0, scale):
         raise ValueError(f"matrix is not symmetric within tolerance (deviation {asym:.2e})")
     sym = 0.5 * (a + a.T)
-    vals, vecs = _jacobi(sym.copy())
+    try:
+        vals, vecs = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolve failed: {exc}") from None
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        lead = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[lead, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
+    columns = np.arange(vecs.shape[1])
+    lead = np.argmax(np.abs(vecs), axis=0)
+    vecs[:, vecs[lead, columns] < 0.0] *= -1.0
     lam_scale = max(1.0, float(np.abs(vals).max()) if vals.size else 0.0)
     if zero_tol is None:
         zero_tol = 1e-9 * lam_scale
@@ -167,8 +125,9 @@ def numerical_rank(m, tol: float = 1e-8) -> int:
     return int(np.sum(svals > tol * max(1.0, float(svals[0]))))
 
 
-def _exact_power_diagonals(m_int: np.ndarray, p_max: int) -> list:
-    """Diagonals of m, m^2, ..., m^p_max in exact integer arithmetic.
+def _exact_power_diagonals(m_int: np.ndarray, p_max: int) -> Iterator[list]:
+    """Yield the diagonals of m, m^2, ..., m^p_max in exact integer arithmetic,
+    one power at a time, so a caller can stop early.
 
     Entries are kept as arbitrary-precision ints but must stay inside the
     signed 64-bit range; exceeding it raises OverflowError rather than ever
@@ -176,15 +135,13 @@ def _exact_power_diagonals(m_int: np.ndarray, p_max: int) -> list:
     """
     base = m_int.astype(object)
     power = base
-    diags = []
     for p in range(1, p_max + 1):
         if p > 1:
             power = power @ base
         flat = [abs(x) for x in power.ravel().tolist()]
         if flat and max(flat) > _INT64_MAX:
             raise OverflowError(f"integer matrix power overflows 64-bit range at power {p}")
-        diags.append([int(x) for x in power.diagonal().tolist()])
-    return diags
+        yield [int(x) for x in power.diagonal().tolist()]
 
 
 def matrix_power_diagonal(m, p: int, exact: Optional[bool] = None) -> list:
@@ -205,7 +162,9 @@ def matrix_power_diagonal(m, p: int, exact: Optional[bool] = None) -> list:
         raise ValueError("exact integer powers need an integer-valued matrix")
     if exact:
         try:
-            return _exact_power_diagonals(np.rint(a).astype(np.int64), p)[-1]
+            for diag in _exact_power_diagonals(np.rint(a).astype(np.int64), p):
+                pass
+            return diag
         except OverflowError as exc:
             raise OverflowError(
                 f"{exc}; pass exact=False for inexact float arithmetic"

@@ -6,7 +6,8 @@ matrix has a constant diagonal. Checking the powers p = 1..k, where k is
 the number of distinct nonzero adjacency eigenvalues, already decides the
 property; the definition-based census over an explicit power range is kept
 as an independent cross-check. Walk counts use exact integer arithmetic,
-so "constant diagonal" means exact equality, never a tolerance.
+so "constant diagonal" means exact equality, never a tolerance, and both
+censuses stop at the first power whose diagonal is not constant.
 """
 
 from __future__ import annotations
@@ -53,11 +54,16 @@ def distinct_nonzero_eigenvalue_count(spectrum: SymmetricSpectrum, group_tol: fl
 
 
 def _census(g: Graph, p_max: int) -> tuple:
-    """Diagonals of A^1..A^p_max as exact integer tuples."""
+    """Diagonals of A^1..A^p_max as exact integer tuples, stopping after the
+    first non-constant one: later powers cannot change the verdict, and an
+    irregular graph stops at power 2, whose diagonal is the degree sequence."""
     a = adjacency_matrix(g).astype(np.int64)
-    return tuple(
-        (p, tuple(diag)) for p, diag in enumerate(_exact_power_diagonals(a, p_max), start=1)
-    )
+    checked = []
+    for p, diag in enumerate(_exact_power_diagonals(a, p_max), start=1):
+        checked.append((p, tuple(diag)))
+        if min(diag) != max(diag):
+            break
+    return tuple(checked)
 
 
 def _first_violation(checked_powers) -> Optional[tuple]:
@@ -81,7 +87,8 @@ def is_walk_regular(g: Graph, group_tol: float = 1e-8) -> WalkRegularityReport:
 
 
 def is_walk_regular_definition(g: Graph, p_max: int) -> WalkRegularityReport:
-    """Definition-based census: check diag(A^p) for every p = 1..p_max.
+    """Definition-based census: check diag(A^p) for p = 1..p_max, stopping
+    at the first violating power.
 
     For ``p_max >= 1`` this is an oracle, not a proof — but constancy up to
     p_max = n decides the property in practice, and the test suite holds

@@ -2,14 +2,16 @@
 
 Everything here is deliberately computed by a route different from the
 library under test: determinants by fraction-free elimination, closed
-walks by explicit enumeration, ranks and norms by numpy's LAPACK
-bindings, and frames from hand-entered block-structured eigenbases.
+walks by explicit enumeration, symmetric eigendecompositions by cyclic
+Jacobi sweeps, ranks and norms by numpy's LAPACK bindings, and frames
+from hand-entered block-structured eigenbases.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,51 @@ def bareiss_det(matrix) -> float:
     return sign * a[n - 1][n - 1]
 
 
+def jacobi_eigh(matrix, max_sweeps: int = 100) -> tuple:
+    """Eigenvalues (descending) and eigenvectors of a real symmetric matrix
+    by cyclic Jacobi rotations, in pure Python loops over numpy arrays."""
+    m = np.asarray(matrix, dtype=float)
+    a = 0.5 * (m + m.T)
+    n = a.shape[0]
+    v = np.eye(n)
+    threshold = 1e-12 * float(np.linalg.norm(a))
+    for sweep in range(max_sweeps + 1):
+        if float(np.linalg.norm(a - np.diag(np.diag(a)))) <= threshold:
+            break
+        if sweep == max_sweeps:
+            raise AssertionError(f"Jacobi sweep did not converge within {max_sweeps} sweeps")
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                diff = a[q, q] - a[p, p]
+                if abs(diff) > 1e8 * abs(apq):
+                    # theta = diff / (2 apq) is so large that theta^2 + 1
+                    # rounds to theta^2 or overflows: t = 1 / (2 theta)
+                    t = apq / diff
+                else:
+                    theta = diff / (2.0 * apq)
+                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vec_p - s * vec_q
+                v[:, q] = s * vec_p + c * vec_q
+    vals = np.diag(a).copy()
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], v[:, order]
+
+
 def count_closed_walks(g: Graph, start: int, length: int) -> int:
     """Closed walks of the given length at ``start``, by explicit enumeration."""
 
@@ -82,6 +129,12 @@ def random_connected_graph(rng, n_min: int = 4, n_max: int = 10) -> Graph:
             if (u, v) not in edges and rng.random() < p:
                 edges.add((u, v))
     return Graph(n, frozenset(edges))
+
+
+def edge_list_text(g: Graph) -> str:
+    """The edge-list file format: a ``n m`` header, then 1-based edges."""
+    lines = [f"{g.n} {g.m}"] + [f"{u + 1} {v + 1}" for u, v in sorted(g.edges)]
+    return "\n".join(lines) + "\n"
 
 
 def random_symmetric(rng, n: int) -> np.ndarray:

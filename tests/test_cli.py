@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from gframes import fixtures
+from gframes import fixtures, is_regular
 from gframes.cli import REPORT_SCHEMA
 
-from _oracles import fixture_path, run_cli
+from _oracles import edge_list_text, fixture_path, random_connected_graph, run_cli
 
 SQRT10_OVER_4 = np.sqrt(10.0) / 4.0
 
@@ -60,6 +60,32 @@ class TestExitCodes:
         code, _, _ = run_cli(["no-such-command", "x"])
         assert code == 1
 
+    @pytest.mark.parametrize("command,routine", [("dr-table", "eigvals"), ("frame-spark", "svd")])
+    def test_lapack_failure_is_numerical(self, monkeypatch, command, routine):
+        # LinAlgError subclasses ValueError, yet it is a numerical failure
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, routine, fail)
+        code, _, err = run_cli([command, fixture_path("figure2")])
+        assert code == 2 and "numerical failure" in err
+
+    def test_irregular_graph_census_stops_at_degrees(self, tmp_path):
+        # a dense irregular graph whose closed-walk counts pass 2^63 long
+        # before the census would reach its number of distinct eigenvalues
+        g = random_connected_graph(np.random.default_rng(1), 30, 30)
+        assert is_regular(g) is None
+        path = tmp_path / "irregular.edges"
+        path.write_text(edge_list_text(g))
+        code, out, err = run_cli(["graph-info", path])
+        assert code == 0, err
+        walk = json.loads(out)["graph"]["walk_regular"]
+        assert walk["is_walk_regular"] is False
+        assert walk["first_violation"]["power"] == 2
+        code, out, err = run_cli(["od-verdict", path])
+        assert code == 0, err
+        assert json.loads(out)["erasure"]["verdict"] == "NOT_OD"
+
 
 class TestJsonReports:
     @pytest.mark.parametrize("command", ["graph-info", "frame-build", "frame-spark", "od-verdict"])
@@ -109,6 +135,18 @@ class TestJsonReports:
         assert code == 0
         row = json.loads(out)["erasure"]["dr_table"]["canonical"][0]
         assert row["max_subset"] == [min(json.loads(verdict)["erasure"]["lambda1_set"])]
+
+    def test_dr_table_subsets_in_vertex_order(self, tmp_path):
+        # two paths whose vertex labels interleave: 5-1-6 and 2-3-4
+        path = tmp_path / "interleaved.edges"
+        path.write_text("6 4\n5 1\n1 6\n2 3\n3 4\n")
+        _, verdict, _ = run_cli(["od-verdict", path])
+        assert json.loads(verdict)["erasure"]["lambda1_set"] == [2, 4, 5, 6]
+        code, out, _ = run_cli(["dr-table", path, "--max-r", "3"])
+        assert code == 0
+        rows = json.loads(out)["erasure"]["dr_table"]["canonical"]
+        assert rows[0]["max_subset"] == [2]
+        assert rows[2]["max_subset"] == [1, 2, 3]
 
     def test_dr_table_custom_dual(self, tmp_path):
         shifts = tmp_path / "shifts.json"

@@ -17,7 +17,7 @@ from gframes import (
     spectral_norm,
 )
 
-from _oracles import bareiss_det, count_closed_walks, random_symmetric
+from _oracles import bareiss_det, count_closed_walks, jacobi_eigh, random_symmetric
 
 ALL_FIXTURES = sorted(fixtures.FIXTURES)
 
@@ -95,6 +95,34 @@ class TestEigh:
         m = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             eigh_symmetric(m)
+
+
+def _random_symmetric_matrices():
+    rng = np.random.default_rng(42)
+    return [(f"random(n={n})", random_symmetric(rng, n)) for n in range(1, 17)]
+
+
+def _eigenspace_projectors(vecs, groups):
+    return [vecs[:, g] @ vecs[:, g].T for g in groups]
+
+
+class TestAgainstJacobiOracle:
+    """Eigenvalues and spectral projectors are basis invariants, so they
+    must agree with the Jacobi sweep even where eigenvectors need not."""
+
+    @pytest.mark.parametrize("label,matrix", fixture_matrices() + _random_symmetric_matrices())
+    def test_eigenvalues_and_projectors(self, label, matrix):
+        oracle_vals, oracle_vecs = jacobi_eigh(matrix)
+        spectrum = eigh_symmetric(matrix)
+        scale = max(1.0, float(np.abs(oracle_vals).max()))
+        assert np.abs(spectrum.eigenvalues - oracle_vals).max() <= 1e-10 * scale
+        # eigenspaces: runs of eigenvalues closer than 1e-6 * scale
+        breaks = np.where(-np.diff(oracle_vals) > 1e-6 * scale)[0] + 1
+        groups = np.split(np.arange(len(oracle_vals)), breaks)
+        ours = _eigenspace_projectors(spectrum.eigenvectors, groups)
+        theirs = _eigenspace_projectors(oracle_vecs, groups)
+        for mine, oracle in zip(ours, theirs):
+            assert np.abs(mine - oracle).max() <= 1e-8
 
 
 class TestMoorePenrose:
@@ -240,3 +268,11 @@ def _well_separated_tuple(rng, n):
 class TestConvergenceGuard:
     def test_error_type_exists(self):
         assert issubclass(ConvergenceError, RuntimeError)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            eigh_symmetric(np.eye(3))
