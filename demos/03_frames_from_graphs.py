@@ -35,9 +35,9 @@ print("\nGramian minus Laplacian, max |entry|:",
 print("squared norms vs degrees:", np.diag(frame.gramian), degree_sequence(bundle.graph))
 print("frame operator is the diagonal of nonzero eigenvalues:")
 print(frame.frame_operator)
-for start, stop in bundle.component_ranges:
-    total = frame.synthesis[:, start:stop].sum(axis=1)
-    print(f"component columns {start}..{stop - 1} sum to zero: |sum| = {np.linalg.norm(total):.2e}")
+for members in bundle.graph.components:
+    total = frame.synthesis[:, list(members)].sum(axis=1)
+    print(f"component {members} columns sum to zero: |sum| = {np.linalg.norm(total):.2e}")
 
 # Unitary equivalence: rotate the frame, then recover the rotation.
 rng = np.random.default_rng(1)

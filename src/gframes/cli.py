@@ -31,8 +31,8 @@ from . import __version__
 from .exceptions import ConvergenceError, EdgeListError, EnumerationGuardError
 from .graphs import degree_sequence, is_regular, laplacian_matrix, parse_edge_list
 from .linalg import eigh_symmetric
-from .walkreg import is_walk_regular, is_walk_regular_definition
-from .frames import Frame, build_lg_frame, canonical_dual, dual_family_member, spark, spark_via_components
+from .walkreg import is_walk_regular
+from .frames import build_lg_frame, canonical_dual, dual_family_member, spark, spark_via_components
 from .erasure import (
     SHIFT_FAMILY_NOTE,
     canonical_verdict,
@@ -82,8 +82,6 @@ REPORT_SCHEMA = {
                                 "vertices": {"type": "array", "items": {"type": "integer"}},
                             },
                         },
-                        "definition_check_power": {"type": "integer"},
-                        "definition_check_agrees": {"type": "boolean"},
                     },
                 },
             },
@@ -259,16 +257,6 @@ def _graph_section(g, config: AnalysisConfig, with_walk: bool) -> dict:
         if certified.first_violation is not None:
             power, (u, v) = certified.first_violation
             walk["first_violation"] = {"power": power, "vertices": [u + 1, v + 1]}
-        try:
-            definition = is_walk_regular_definition(g, g.n)
-        except OverflowError:
-            # informational cross-check only; the certified verdict stands
-            pass
-        else:
-            walk["definition_check_power"] = g.n
-            walk["definition_check_agrees"] = (
-                definition.is_walk_regular == certified.is_walk_regular
-            )
         section["walk_regular"] = walk
     return section
 
@@ -281,11 +269,10 @@ def _frame_section(bundle, config: AnalysisConfig) -> dict:
         "count": frame.count,
         "gramian_residual": float(np.abs(frame.gramian - lap).max()),
         "frame_operator_diag": [float(v) for v in np.diag(frame.frame_operator)],
-        "norms_squared": [float(v) for v in bundle.in_vertex_order(np.diag(frame.gramian))],
+        "norms_squared": [float(v) for v in np.diag(frame.gramian)],
     }
     if config.emit_vectors:
-        section["vectors"] = [[float(x) for x in frame.synthesis[:, bundle.column_of(v)]]
-                              for v in range(frame.count)]
+        section["vectors"] = [[float(x) for x in column] for column in frame.synthesis.T]
         section["basis_dependent"] = True
     return section
 
@@ -335,16 +322,15 @@ def _load_shifts(bundle, config: AnalysisConfig):
     if config.shifts_file is None:
         return None
     raw = json.loads(Path(config.shifts_file).read_text(encoding="utf-8"))
-    shifts = np.asarray(raw, dtype=float)
+    try:
+        shifts = np.asarray(raw, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"shifts file must hold a matrix of numbers: {exc}") from None
     return dual_family_member(bundle, shifts)
 
 
 def _dr_rows(bundle, dual, config: AnalysisConfig) -> list:
-    # Columns in vertex order, so subsets are enumerated, tie-broken and
-    # reported in the caller's labels.
-    order = list(bundle.relabeling)
-    frame = Frame(bundle.frame.synthesis[:, order])
-    h = dual.realized[:, order]
+    frame, h = bundle.frame, dual.realized
     n = frame.count
     r_values = range(1, min(config.max_r, n - 1) + 1)
     if config.mc_samples is None:

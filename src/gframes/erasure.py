@@ -78,8 +78,8 @@ class SearchResult:
 
 @dataclass(frozen=True, eq=False)
 class ErasureReport:
-    """Single-erasure diagnostics of the canonical dual, in original vertex
-    order, plus the optimality verdict and the certificate behind it."""
+    """Single-erasure diagnostics of the canonical dual, in vertex order,
+    plus the optimality verdict and the certificate behind it."""
 
     d1_canonical: float
     per_vertex_products: np.ndarray
@@ -177,32 +177,26 @@ def d_r_lower_bound(frame: Frame, dual, r: int, samples: int, seed: int = 0) -> 
 
 
 def _canonical_matrix(bundle: GraphFrameBundle) -> np.ndarray:
-    k = bundle.frame.dim
-    return bundle.frame.synthesis / bundle.spectrum.eigenvalues[:k, None]
+    return bundle.frame.synthesis / bundle.eigenvalues[:, None]
 
 
-def _products_by_column(bundle: GraphFrameBundle) -> np.ndarray:
+def canonical_products(bundle: GraphFrameBundle) -> np.ndarray:
+    """Per-vertex products ``|f_i| * |S^-1 f_i|``."""
     b = bundle.frame.synthesis
     return np.linalg.norm(b, axis=0) * np.linalg.norm(_canonical_matrix(bundle), axis=0)
 
 
-def canonical_products(bundle: GraphFrameBundle) -> np.ndarray:
-    """Per-vertex products ``|f_i| * |S^-1 f_i|`` in original vertex order."""
-    return bundle.in_vertex_order(_products_by_column(bundle))
-
-
 def lambda1_set(bundle: GraphFrameBundle, tie_tol: float = _TIE_TOL) -> tuple:
-    """Sorted original vertices whose canonical product attains the maximum,
-    with products within a relative ``tie_tol`` counted as tied."""
-    products = _products_by_column(bundle)
+    """Sorted vertices whose canonical product attains the maximum, with
+    products within a relative ``tie_tol`` counted as tied."""
+    products = canonical_products(bundle)
     top = float(products.max())
-    members = np.where(products >= top * (1.0 - tie_tol))[0]
-    return tuple(sorted(bundle.column_to_vertex[j] for j in members))
+    return tuple(int(v) for v in np.flatnonzero(products >= top * (1.0 - tie_tol)))
 
 
 def constancy_certificate(bundle: GraphFrameBundle, tol: float = 1e-9) -> ConstancyCertificate:
     """Whether the canonical products are constant across vertices."""
-    products = _products_by_column(bundle)
+    products = canonical_products(bundle)
     spread = float(products.max() - products.min())
     return ConstancyCertificate(spread <= tol * max(1.0, float(products.max())), spread)
 
@@ -213,32 +207,33 @@ def non_optimality_witness(bundle: GraphFrameBundle, tie_tol: float = 1e-9,
     ``None`` when the argmax vectors are dependent and no such certificate
     exists down this route."""
     vertices = lambda1_set(bundle, tie_tol)
-    cols = [bundle.column_of(v) for v in vertices]
-    sub = bundle.frame.synthesis[:, cols]
-    if numerical_rank(sub, rank_tol) < len(cols):
+    sub = bundle.frame.synthesis[:, list(vertices)]
+    if numerical_rank(sub, rank_tol) < len(vertices):
         return None
     coefficients = np.ones(bundle.frame.count)
     residual = float(np.abs(bundle.frame.synthesis @ coefficients).max())
     return NonOptimalityWitness(vertices, coefficients, residual)
 
 
-def _component_subgraph(g: Graph, start: int, stop: int) -> Graph:
-    edges = {(u - start, v - start) for u, v in g.edges if start <= u < stop}
-    return Graph(stop - start, frozenset(edges))
+def _component_subgraph(g: Graph, members: tuple) -> Graph:
+    index = {v: i for i, v in enumerate(members)}
+    edges = {(index[u], index[v]) for u, v in g.edges if u in index}
+    return Graph(len(members), frozenset(edges))
 
 
-def _tie_dual(bundle: GraphFrameBundle, lambda1_columns: set):
+def _tie_dual(bundle: GraphFrameBundle, lambda1: set):
     """A different dual attaining exactly the canonical D^1, built by
     shifting one component whose vertices all sit strictly below the
     maximum product; ``None`` when every component touches the argmax."""
-    products = _products_by_column(bundle)
+    products = canonical_products(bundle)
     top = float(products.max())
     f_norms = np.linalg.norm(bundle.frame.synthesis, axis=0)
     h_norms = np.linalg.norm(_canonical_matrix(bundle), axis=0)
-    for c, (start, stop) in enumerate(bundle.component_ranges):
-        if lambda1_columns.intersection(range(start, stop)):
+    for c, members in enumerate(bundle.graph.components):
+        if not lambda1.isdisjoint(members):
             continue
-        margins = top / f_norms[start:stop] - h_norms[start:stop]
+        cols = list(members)
+        margins = top / f_norms[cols] - h_norms[cols]
         step = 0.5 * float(margins.min())
         if step <= 1e-12:
             continue
@@ -351,7 +346,7 @@ def _minimax_descent(bundle, value, x, fx, radius, iterations: int = 300):
     direction is the negated minimum-norm point of the active gradients."""
     k = bundle.frame.dim
     m = bundle.component_count
-    comp = np.asarray(bundle.column_component)
+    comp = bundle.column_component
     a0 = _canonical_matrix(bundle)
     f_norms = np.linalg.norm(bundle.frame.synthesis, axis=0)
     x = x.copy()
@@ -401,13 +396,13 @@ def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: floa
     5. otherwise inconclusive; the report carries the best dual a seeded
        search of the shift family could find.
     """
-    products = _products_by_column(bundle)
+    products = canonical_products(bundle)
     d1 = float(products.max())
     lam1 = lambda1_set(bundle, tie_tol)
     certificate = constancy_certificate(bundle, tie_tol)
     report = dict(
         d1_canonical=d1,
-        per_vertex_products=bundle.in_vertex_order(products),
+        per_vertex_products=products,
         lambda1=lam1,
         constancy=certificate,
         search_best=None,
@@ -438,15 +433,15 @@ def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: floa
         }
         return ErasureReport(verdict=VERDICT_NOT_OD, verdict_basis=basis, **report)
 
-    lam1_columns = {bundle.column_of(v) for v in lam1}
-    for c, (start, stop) in enumerate(bundle.component_ranges):
-        if not lam1_columns.intersection(range(start, stop)):
+    lam1_vertices = set(lam1)
+    for c, members in enumerate(bundle.graph.components):
+        if lam1_vertices.isdisjoint(members):
             continue
-        sub = _component_subgraph(bundle.graph, start, stop)
+        sub = _component_subgraph(bundle.graph, members)
         if not is_walk_regular(sub, group_tol).is_walk_regular:
             continue
         basis = {"certificate": "walk_regular_component_attains_max", "component": c}
-        tie = _tie_dual(bundle, lam1_columns)
+        tie = _tie_dual(bundle, lam1_vertices)
         if tie is not None:
             tie_component, tie_shifts, tie_value = tie
             basis["uniqueness"] = "not_unique"

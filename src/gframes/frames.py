@@ -3,9 +3,10 @@
 A graph on n vertices with p components yields a frame of n vectors in
 dimension k = n - p: scale the first k Laplacian eigenvector columns by
 the square roots of the nonzero eigenvalues and read the vectors off the
-columns of the resulting k-by-n synthesis matrix. The Gramian of that
-frame reproduces the Laplacian exactly, the frame operator is the diagonal
-of nonzero eigenvalues, and each component's vectors sum to zero.
+columns of the resulting k-by-n synthesis matrix, column ``v`` being
+vertex ``v``. The Gramian of that frame reproduces the Laplacian exactly,
+the frame operator is the diagonal of nonzero eigenvalues, and each
+component's vectors sum to zero.
 
 The frame is determined only up to an orthogonal change of basis, so all
 diagnostics exposed by this package are basis invariants;
@@ -25,7 +26,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, EnumerationGuardError
 from .graphs import Graph, degree_sequence, laplacian_matrix, relabel_by_component
-from .linalg import SymmetricSpectrum, eigh_symmetric, numerical_rank
+from .linalg import eigh_symmetric, numerical_rank
 
 _GRAMIAN_TOL = 1e-8
 _NORM_TOL = 1e-9
@@ -78,44 +79,27 @@ class Frame:
 
 @dataclass(frozen=True, eq=False)
 class GraphFrameBundle:
-    """A graph, its component-contiguous relabeling, and the frame built from it.
+    """A graph and the frame it generates; frame column ``v`` is vertex ``v``.
 
-    ``relabeling[v]`` gives the frame column of original vertex ``v``;
-    per-column quantities are mapped back to original vertex order with
-    :meth:`in_vertex_order` so reports always speak the caller's labels.
+    ``eigenvalues`` holds the ``k`` nonzero Laplacian eigenvalues in
+    descending order, which are the diagonal of the frame operator.
     """
 
-    original_graph: Graph
     graph: Graph
-    relabeling: tuple
     frame: Frame
-    spectrum: SymmetricSpectrum
-    component_ranges: tuple
+    eigenvalues: np.ndarray
 
     @property
     def component_count(self) -> int:
-        return len(self.component_ranges)
-
-    @cached_property
-    def column_to_vertex(self) -> tuple:
-        inverse = [0] * len(self.relabeling)
-        for vertex, column in enumerate(self.relabeling):
-            inverse[column] = vertex
-        return tuple(inverse)
+        return len(self.graph.components)
 
     @cached_property
     def column_component(self) -> np.ndarray:
+        """Index into ``graph.components`` of each vertex's component."""
         comp = np.empty(self.graph.n, dtype=np.intp)
-        for c, (start, stop) in enumerate(self.component_ranges):
-            comp[start:stop] = c
+        for c, members in enumerate(self.graph.components):
+            comp[list(members)] = c
         return comp
-
-    def column_of(self, vertex: int) -> int:
-        return self.relabeling[vertex]
-
-    def in_vertex_order(self, column_values) -> np.ndarray:
-        values = np.asarray(column_values)
-        return values[np.asarray(self.relabeling, dtype=np.intp)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,43 +128,41 @@ def _reject_isolated_vertices(g: Graph):
 def build_lg_frame(g: Graph, zero_tol: Optional[float] = None) -> GraphFrameBundle:
     """Build the frame generated by ``g`` from its Laplacian eigendecomposition.
 
-    The graph is relabeled component-contiguously first (dual-family
-    bookkeeping needs contiguous blocks); every component must contain an
-    edge. The returned bundle checks its own contract: Gramian equals the
-    Laplacian, squared vector norms equal the degrees, and the frame
-    operator is the diagonal of nonzero Laplacian eigenvalues.
+    Every component must contain an edge. The Laplacian is decomposed with
+    the vertices relabeled component-contiguously, so the eigenbasis does
+    not depend on how the components' labels interleave; the columns are
+    then put back in the caller's vertex order. The returned bundle checks
+    its own contract: Gramian equals the Laplacian, squared vector norms
+    equal the degrees, and the frame operator is the diagonal of nonzero
+    Laplacian eigenvalues.
     """
     _reject_isolated_vertices(g)
     relabeled, mapping = relabel_by_component(g)
-    lap = laplacian_matrix(relabeled)
-    spectrum = eigh_symmetric(lap, zero_tol)
-    p = len(relabeled.components)
-    k = relabeled.n - p
-    zeros = relabeled.n - spectrum.nonzero_count
+    spectrum = eigh_symmetric(laplacian_matrix(relabeled), zero_tol)
+    p = len(g.components)
+    k = g.n - p
+    zeros = g.n - spectrum.nonzero_count
     if zeros != p:
         raise ConvergenceError(
             f"Laplacian has {zeros} numerically zero eigenvalues but the graph has {p} components"
         )
-    synthesis = np.sqrt(spectrum.eigenvalues[:k])[:, None] * spectrum.eigenvectors[:, :k].T
-    frame = Frame(synthesis)
+    eigenvalues = spectrum.eigenvalues[:k]
+    synthesis = np.sqrt(eigenvalues)[:, None] * spectrum.eigenvectors[:, :k].T
+    # np.take returns a C-ordered array; fancy indexing would return an
+    # F-ordered one, whose column reductions round differently.
+    frame = Frame(np.take(synthesis, mapping, axis=1))
 
-    gram_err = float(np.abs(frame.gramian - lap).max())
-    norm_err = float(np.abs(np.diag(frame.gramian) - degree_sequence(relabeled)).max())
+    gram_err = float(np.abs(frame.gramian - laplacian_matrix(g)).max())
+    norm_err = float(np.abs(np.diag(frame.gramian) - degree_sequence(g)).max())
     s = frame.frame_operator
     s_off = float(np.abs(s - np.diag(np.diag(s))).max())
-    s_diag_err = float(np.abs(np.diag(s) - spectrum.eigenvalues[:k]).max())
+    s_diag_err = float(np.abs(np.diag(s) - eigenvalues).max())
     if gram_err > _GRAMIAN_TOL or norm_err > _NORM_TOL or s_off > _NORM_TOL or s_diag_err > _NORM_TOL:
         raise ConvergenceError(
             f"frame construction missed its tolerances (gramian {gram_err:.2e}, "
             f"norms {norm_err:.2e}, operator {max(s_off, s_diag_err):.2e})"
         )
-
-    ranges = []
-    start = 0
-    for comp in relabeled.components:
-        ranges.append((start, start + len(comp)))
-        start += len(comp)
-    return GraphFrameBundle(g, relabeled, mapping, frame, spectrum, tuple(ranges))
+    return GraphFrameBundle(g, frame, eigenvalues)
 
 
 def canonical_dual(bundle: GraphFrameBundle) -> DualCandidate:
@@ -204,7 +186,7 @@ def dual_family_member(bundle: GraphFrameBundle, shifts) -> DualCandidate:
         raise ValueError(f"expected shifts of shape {expected}, got {shifts.shape}")
     if not np.all(np.isfinite(shifts)):
         raise ValueError("shift entries must be finite")
-    inv_eigs = 1.0 / bundle.spectrum.eigenvalues[:k]
+    inv_eigs = 1.0 / bundle.eigenvalues
     realized = inv_eigs[:, None] * bundle.frame.synthesis + shifts[bundle.column_component].T
     realized.setflags(write=False)
     shifts.setflags(write=False)

@@ -197,8 +197,8 @@ def test_criterion_7_random_graph_property_suite():
 
         assert np.abs(bundle.frame.gramian - lap).max() <= 1e-8
         assert np.abs(np.diag(bundle.frame.gramian) - degree_sequence(bundle.graph)).max() <= 1e-9
-        for begin, stop in bundle.component_ranges:
-            assert np.linalg.norm(bundle.frame.synthesis[:, begin:stop].sum(axis=1)) <= 1e-9
+        for members in bundle.graph.components:
+            assert np.linalg.norm(bundle.frame.synthesis[:, list(members)].sum(axis=1)) <= 1e-9
 
         assert is_full_spark(bundle.frame)
 

@@ -158,13 +158,23 @@ class TestJsonReports:
         report = json.loads(out)
         assert "custom" in report["erasure"]["dr_table"]
 
+    @pytest.mark.parametrize("content", ['{"a": 1}', '[[1, {"b": 2}]]'])
+    def test_dr_table_malformed_shifts_file(self, tmp_path, content):
+        shifts = tmp_path / "shifts.json"
+        shifts.write_text(content)
+        code, out, err = run_cli([
+            "dr-table", fixture_path("figure2"), "--max-r", "1", "--shifts-file", shifts,
+        ])
+        assert code == 1 and out == "" and "shifts file" in err
+
     def test_graph_info_content(self):
         _, out, _ = run_cli(["graph-info", fixture_path("figure2")])
         graph = json.loads(out)["graph"]
         assert graph["regular"] == 3
         assert graph["walk_regular"]["is_walk_regular"] is False
         assert graph["walk_regular"]["first_violation"]["power"] == 3
-        assert graph["walk_regular"]["definition_check_agrees"] is True
+        assert set(graph["walk_regular"]) == {
+            "is_walk_regular", "distinct_nonzero_eigenvalues", "first_violation"}
 
     def test_od_verdict_content(self):
         _, out, _ = run_cli(["od-verdict", fixture_path("figure1")])

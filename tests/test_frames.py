@@ -15,6 +15,7 @@ from gframes import (
     is_full_spark,
     laplacian_matrix,
     moore_penrose,
+    relabel_by_component,
     spark,
     spark_via_components,
     unitary_equivalence_witness,
@@ -43,7 +44,8 @@ class TestBuild:
         assert sorted(np.diag(b.frame.frame_operator), reverse=True) == pytest.approx(
             [4, 3, 3, 2, 2], abs=1e-9
         )
-        assert b.component_ranges == ((0, 3), (3, 7))
+        assert b.component_count == 2
+        assert b.column_component.tolist() == [0, 0, 0, 1, 1, 1, 1]
 
     def test_cubic8(self):
         b = bundle_of("figure2")
@@ -61,9 +63,9 @@ class TestBuild:
         s = b.frame.frame_operator
         assert np.abs(s - np.diag(np.diag(s))).max() <= 1e-9
         k = b.frame.dim
-        assert np.allclose(np.diag(s), b.spectrum.eigenvalues[:k], atol=1e-9)
-        for start, stop in b.component_ranges:
-            column_sum = b.frame.synthesis[:, start:stop].sum(axis=1)
+        assert np.allclose(np.diag(s), b.eigenvalues, atol=1e-9) and b.eigenvalues.shape == (k,)
+        for members in b.graph.components:
+            column_sum = b.frame.synthesis[:, list(members)].sum(axis=1)
             assert np.linalg.norm(column_sum) <= 1e-9
 
     def test_rejects_edgeless(self):
@@ -77,9 +79,17 @@ class TestBuild:
     def test_relabeling_round_trip(self):
         g = Graph(4, frozenset({(0, 2), (1, 3)}))
         b = build_lg_frame(g)
-        assert b.relabeling == (0, 2, 1, 3)
-        degrees_by_vertex = b.in_vertex_order(np.diag(b.frame.gramian))
-        assert np.allclose(degrees_by_vertex, degree_sequence(g), atol=1e-9)
+        assert b.graph is g
+        assert np.allclose(np.diag(b.frame.gramian), degree_sequence(g), atol=1e-9)
+
+    def test_interleaved_components_in_vertex_order(self):
+        # two paths whose labels interleave: 4-0-5 and 1-2-3
+        g = Graph(6, frozenset({(0, 4), (0, 5), (1, 2), (2, 3)}))
+        b = build_lg_frame(g)
+        assert np.abs(b.frame.gramian - laplacian_matrix(g)).max() <= 1e-8
+        relabeled, mapping = relabel_by_component(g)
+        contiguous = build_lg_frame(relabeled)
+        assert np.array_equal(b.frame.synthesis, contiguous.frame.synthesis[:, list(mapping)])
 
 
 class TestCanonicalDual:
