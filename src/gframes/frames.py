@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,8 @@ from .linalg import eigh_symmetric, numerical_rank
 _GRAMIAN_TOL = 1e-8
 _NORM_TOL = 1e-9
 _DUALITY_TOL = 1e-8
+#: Float64 entries per batch of stacked column blocks in :func:`spark` (128 KB).
+_CHUNK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,22 +238,28 @@ def spark(frame: Frame, rank_tol: float = 1e-8, guard: int = 2_000_000) -> int:
     """Size of the smallest linearly dependent column subset, by enumeration.
 
     Returns ``dim + 1`` when every subset of at most ``dim`` columns is
-    independent (the full spark convention). Subset ranks use the same
-    relative singular-value threshold as :func:`gframes.linalg.numerical_rank`.
-    Raises :class:`EnumerationGuardError` when the subset count exceeds
-    ``guard`` — for graph frames, use :func:`spark_via_components` instead.
+    independent (the full spark convention). Sizes are tried smallest
+    first; the subsets of one size are taken in ``combinations`` order and
+    ranked as stacked ``dim x s`` column blocks, one batched SVD per chunk
+    of at most 2^14 entries, with the relative singular-value threshold of
+    :func:`gframes.linalg.numerical_rank`. Raises
+    :class:`EnumerationGuardError` when the subsets of at most ``dim``
+    columns number more than ``guard`` — for graph frames, use
+    :func:`spark_via_components` instead.
     """
     k, n = frame.dim, frame.count
-    budget = _subset_budget(n, min(n, k + 1))
+    budget = _subset_budget(n, k)
     if budget > guard:
         raise EnumerationGuardError(
             f"spark enumeration needs {budget} subsets (guard {guard}); "
             "for a graph frame, spark_via_components gives the answer directly"
         )
-    columns = frame.synthesis
-    for s in range(1, min(n, k) + 1):
-        for subset in combinations(range(n), s):
-            if numerical_rank(columns[:, subset], rank_tol) < s:
+    for s in range(1, k + 1):
+        subsets = combinations(range(n), s)
+        step = max(1, _CHUNK_ENTRIES // (k * s))
+        while chunk := list(islice(subsets, step)):
+            blocks = np.take(frame.synthesis, chunk, axis=1).swapaxes(0, 1)
+            if np.any(numerical_rank(blocks, rank_tol) < s):
                 return s
     return k + 1
 

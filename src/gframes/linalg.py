@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -116,13 +116,18 @@ def spectral_norm(m) -> float:
     return math.sqrt(max(top, 0.0))
 
 
-def numerical_rank(m, tol: float = 1e-8) -> int:
-    """Number of singular values above ``tol * max(1, largest singular value)``."""
+def numerical_rank(m, tol: float = 1e-8) -> Union[int, np.ndarray]:
+    """Number of singular values above ``tol * max(1, largest singular value)``.
+
+    An array of shape ``(..., k, s)`` is a stack of ``k x s`` blocks, ranked
+    by one batched SVD: the result is an integer array of shape ``(...)``
+    with each block's rank under the same rule. A single matrix gives an
+    ``int``.
+    """
     a = np.asarray(m, dtype=float)
-    if a.size == 0:
-        return 0
     svals = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(svals > tol * max(1.0, float(svals[0]))))
+    ranks = np.sum(svals > tol * np.maximum(1.0, svals[..., :1]), axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def _exact_power_diagonals(m_int: np.ndarray, p_max: int) -> Iterator[list]:

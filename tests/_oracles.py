@@ -3,8 +3,9 @@
 Everything here is deliberately computed by a route different from the
 library under test: determinants by fraction-free elimination, closed
 walks by explicit enumeration, symmetric eigendecompositions by cyclic
-Jacobi sweeps, ranks and norms by numpy's LAPACK bindings, and frames
-from hand-entered block-structured eigenbases.
+Jacobi sweeps, ranks and norms by numpy's LAPACK bindings (the spark by
+one SVD per column subset), and frames from hand-entered
+block-structured eigenbases.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +131,19 @@ def random_connected_graph(rng, n_min: int = 4, n_max: int = 10) -> Graph:
             if (u, v) not in edges and rng.random() < p:
                 edges.add((u, v))
     return Graph(n, frozenset(edges))
+
+
+def spark_by_subsets(frame: Frame, rank_tol: float = 1e-8) -> int:
+    """Spark by one SVD per column subset, smallest size first, with the
+    rank rule ``sigma > rank_tol * max(1, sigma_1)``; ``dim + 1`` when
+    every subset of at most ``dim`` columns is independent."""
+    k, n = frame.dim, frame.count
+    for s in range(1, k + 1):
+        for subset in combinations(range(n), s):
+            svals = np.linalg.svd(frame.synthesis[:, subset], compute_uv=False)
+            if np.sum(svals > rank_tol * max(1.0, float(svals[0]))) < s:
+                return s
+    return k + 1
 
 
 def edge_list_text(g: Graph) -> str:

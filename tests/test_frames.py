@@ -1,5 +1,7 @@
 """Frame construction, dual family, unitary equivalence, and spark."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,9 @@ from gframes import (
     verify_dual,
 )
 
-from _oracles import alt_frame_cubic8, alt_frame_two_component
+from gframes.frames import _CHUNK_ENTRIES
+
+from _oracles import alt_frame_cubic8, alt_frame_two_component, spark_by_subsets
 
 ALL_FIXTURES = sorted(fixtures.FIXTURES)
 
@@ -233,6 +237,54 @@ class TestSpark:
         frame = Frame(rng.standard_normal((15, 40)))
         with pytest.raises(EnumerationGuardError):
             spark(frame, guard=1000)
+
+    def test_guard_counts_only_enumerated_sizes(self):
+        # sizes 1..3 hold 12 + 66 + 220 = 298 subsets; size 4 is never enumerated
+        frame = Frame(np.random.default_rng(0).standard_normal((3, 12)))
+        assert spark(frame, guard=500) == 4
+        assert spark(frame, guard=298) == 4
+        with pytest.raises(EnumerationGuardError, match="needs 298 subsets"):
+            spark(frame, guard=297)
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES + ["interleaved"])
+    def test_matches_subset_oracle(self, name):
+        if name == "interleaved":
+            # two paths whose labels interleave: 4-0-5 and 1-2-3
+            g = Graph(6, frozenset({(0, 4), (0, 5), (1, 2), (2, 3)}))
+        else:
+            g = fixtures.FIXTURES[name]()
+        frame = build_lg_frame(g).frame
+        assert spark(frame) == spark_by_subsets(frame)
+
+    def test_first_dependent_subset_past_first_chunk(self):
+        # two 7-cycles on {0, 8..13} and {1..7}: the first dependent 7-subset
+        # in combinations order is {0, 8..13}, the last of the C(13, 6) that
+        # start with vertex 0
+        first, second = (0, 8, 9, 10, 11, 12, 13), tuple(range(1, 8))
+        edges = {(c[i], c[(i + 1) % 7]) for c in (first, second) for i in range(7)}
+        frame = build_lg_frame(Graph(14, frozenset(edges))).frame
+        assert math.comb(13, 6) > _CHUNK_ENTRIES // (frame.dim * 7)
+        assert spark(frame) == spark_by_subsets(frame) == 7
+
+    def test_random_frames_with_planted_dependences(self):
+        # scales on both sides of 1 exercise the max(1, sigma_1) threshold
+        rng = np.random.default_rng(11)
+        seen = set()
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(67):
+                k = int(rng.integers(1, 6))
+                n = int(rng.integers(k + 1, k + 5))
+                synthesis = rng.standard_normal((k, n))
+                planted = int(rng.integers(1, k + 2))
+                if planted <= k:
+                    # a zero column, a scaled repeat, or a combination of others
+                    cols = rng.choice(n, size=planted, replace=False)
+                    synthesis[:, cols[-1]] = synthesis[:, cols[:-1]] @ rng.standard_normal(planted - 1)
+                frame = Frame(scale * synthesis)
+                value = spark(frame)
+                assert value == spark_by_subsets(frame), (scale, k, n)
+                seen.add("full" if value == k + 1 else value)
+        assert {1, 2, 3, "full"} <= seen
 
     def test_component_formula(self):
         assert spark_via_components(fixtures.k3_plus_c4()) == 3

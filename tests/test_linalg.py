@@ -233,6 +233,25 @@ class TestNumericalRank:
     def test_zero(self):
         assert numerical_rank(np.zeros((3, 3)), 1e-9) == 0
 
+    def test_single_matrix_gives_int(self):
+        assert type(numerical_rank(np.eye(3))) is int
+        assert numerical_rank(np.zeros((3, 0))) == 0
+
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(2)
+        stack = rng.standard_normal((2, 40, 4, 3)) * 10.0 ** rng.uniform(-4, 4, (2, 40, 1, 1))
+        stack[0, ::3, :, 2] = stack[0, ::3, :, 0]
+        stack[1, ::4, :, 1:] = 0.0
+        ranks = numerical_rank(stack)
+        assert ranks.shape == (2, 40)
+        assert np.array_equal(ranks, [[numerical_rank(block) for block in row] for row in stack])
+        assert set(ranks.ravel().tolist()) == {1, 2, 3}
+
+    def test_stack_threshold_is_per_block(self):
+        # tol * max(1, sigma_1) of each block: 1e-5 for the first two, 1e-8 after
+        blocks = np.array([np.diag(d) for d in ([1e3, 2e-5], [1e3, 5e-6], [0.5, 5e-9], [0.5, 2e-8])])
+        assert numerical_rank(blocks).tolist() == [2, 1, 1, 2]
+
 
 class TestGeneralizedVandermonde:
     def test_three_values(self):
