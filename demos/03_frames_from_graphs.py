@@ -47,10 +47,11 @@ witness = unitary_equivalence_witness(frame, rotated)
 print("\nrecovered the rotation between two realizations:",
       np.abs(witness @ rotated.synthesis - frame.synthesis).max())
 
-# Duals: the canonical dual, and the full family of duals obtained by
+# Duals are plain k x n matrices, column v being vertex v's dual vector:
+# the canonical dual S^-1 F, and the full family of duals obtained by
 # adding one arbitrary shift vector per component.
 dual = canonical_dual(bundle)
-print("\ncanonical dual residual:", verify_dual(frame, dual.realized))
+print("\ncanonical dual residual:", verify_dual(frame, dual))
 shifts = 0.2 * rng.standard_normal((bundle.component_count, frame.dim))
 member = dual_family_member(bundle, shifts)
-print("random family member residual:", member.residual)
+print("random family member residual:", verify_dual(frame, member))

@@ -27,6 +27,7 @@ from gframes import (
     fixtures,
     lambda1_set,
     perturbation_search,
+    verify_dual,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -54,6 +55,6 @@ result = perturbation_search(bundle, trials=5000, radius=0.01, seed=0)
 print(f"\nsearch over shifts: canonical D^1 {result.canonical_d1:.6f}"
       f" -> best found {result.d1:.6f} (improved: {result.improved})")
 best = dual_family_member(bundle, result.shifts)
-print("best dual is still a dual, residual:", best.residual)
+print("best dual is still a dual, residual:", verify_dual(bundle.frame, best))
 print("its products:", np.round(d1_fast(bundle.frame, best)[1], 6))
 print("argmax set of the canonical dual:", lambda1_set(bundle))

@@ -34,7 +34,6 @@ from .walkreg import (
     is_walk_regular_definition,
 )
 from .frames import (
-    DualCandidate,
     Frame,
     GraphFrameBundle,
     build_lg_frame,
@@ -78,9 +77,9 @@ __all__ = [
     "matrix_power_diagonal", "moore_penrose", "numerical_rank", "spectral_norm",
     "WalkRegularityReport", "equal_diagonal_check", "is_walk_regular",
     "is_walk_regular_definition",
-    "DualCandidate", "Frame", "GraphFrameBundle", "build_lg_frame",
-    "canonical_dual", "dual_family_member", "is_full_spark", "spark",
-    "spark_via_components", "unitary_equivalence_witness", "verify_dual",
+    "Frame", "GraphFrameBundle", "build_lg_frame", "canonical_dual",
+    "dual_family_member", "is_full_spark", "spark", "spark_via_components",
+    "unitary_equivalence_witness", "verify_dual",
     "VERDICT_INCONCLUSIVE", "VERDICT_NOT_OD", "VERDICT_OD_SINGLE",
     "VERDICT_UNIQUE_ALL", "ConstancyCertificate", "ErasureReport",
     "NonOptimalityWitness", "SearchResult", "canonical_products",

@@ -167,7 +167,6 @@ class AnalysisConfig:
 
     input_path: str
     command: str
-    zero_tol: Optional[float] = None
     tie_tol: float = 1e-9
     group_tol: float = 1e-8
     seed: int = 0
@@ -184,8 +183,6 @@ class AnalysisConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.zero_tol is not None and not self.zero_tol > 0:
-            raise ValueError("zero-tol must be positive")
         for name in ("tie_tol", "group_tol", "radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name.replace('_', '-')} must be positive")
@@ -247,7 +244,7 @@ def _graph_section(g, config: AnalysisConfig, with_walk: bool) -> dict:
     degree = is_regular(g)
     section["regular"] = degree if degree is not None else False
     if with_walk:
-        spectrum = eigh_symmetric(laplacian_matrix(g), config.zero_tol)
+        spectrum = eigh_symmetric(laplacian_matrix(g))
         section["laplacian_spectrum"] = [float(v) for v in spectrum.eigenvalues]
         certified = is_walk_regular(g, config.group_tol)
         walk = {
@@ -329,8 +326,7 @@ def _load_shifts(bundle, config: AnalysisConfig):
     return dual_family_member(bundle, shifts)
 
 
-def _dr_rows(bundle, dual, config: AnalysisConfig) -> list:
-    frame, h = bundle.frame, dual.realized
+def _dr_rows(frame, dual, config: AnalysisConfig) -> list:
     n = frame.count
     r_values = range(1, min(config.max_r, n - 1) + 1)
     if config.mc_samples is None:
@@ -344,10 +340,10 @@ def _dr_rows(bundle, dual, config: AnalysisConfig) -> list:
     for r in r_values:
         exact = True
         if math.comb(n, r) > DR_GUARD:
-            value, subset = d_r_lower_bound(frame, h, r, config.mc_samples, config.seed)
+            value, subset = d_r_lower_bound(frame, dual, r, config.mc_samples, config.seed)
             exact = False
         else:
-            value, subset = d_r(frame, h, r, guard=DR_GUARD)
+            value, subset = d_r(frame, dual, r, guard=DR_GUARD)
         row = {"r": r, "value": value, "max_subset": [v + 1 for v in subset]}
         if not exact:
             row["lower_bound"] = True
@@ -362,7 +358,6 @@ def build_report(config: AnalysisConfig) -> dict:
     text = Path(config.input_path).read_text(encoding="utf-8")
     g = parse_edge_list(text)
     echo = {
-        "zero_tol": config.zero_tol if config.zero_tol is not None else "auto",
         "tie_tol": config.tie_tol,
         "group_tol": config.group_tol,
         "seed": config.seed,
@@ -387,7 +382,7 @@ def build_report(config: AnalysisConfig) -> dict:
         return report
 
     report["graph"] = _graph_section(g, config, with_walk=False)
-    bundle = build_lg_frame(g, config.zero_tol)
+    bundle = build_lg_frame(g)
     report["frame"] = _frame_section(bundle, config)
 
     if config.command == "frame-build":
@@ -412,10 +407,10 @@ def build_report(config: AnalysisConfig) -> dict:
 
     # dr-table
     canonical = canonical_dual(bundle)
-    table = {"canonical": _dr_rows(bundle, canonical, config)}
+    table = {"canonical": _dr_rows(bundle.frame, canonical, config)}
     custom = _load_shifts(bundle, config)
     if custom is not None:
-        table["custom"] = _dr_rows(bundle, custom, config)
+        table["custom"] = _dr_rows(bundle.frame, custom, config)
     d1_value, _ = d1_fast(bundle.frame, canonical)
     report["erasure"] = {"d1_canonical": d1_value, "dr_table": table}
     return report
@@ -555,8 +550,6 @@ def _build_parser() -> _Parser:
         cmd.add_argument("input", help="edge-list file")
         cmd.add_argument("--format", choices=("json", "csv", "text"), default="json",
                          dest="output_format", help="output format (default json)")
-        cmd.add_argument("--zero-tol", type=float, default=None,
-                         help="eigenvalue zero threshold (default: 1e-9 * max(1, max |eig|))")
         cmd.add_argument("--tie-tol", type=float, default=1e-9,
                          help="relative tolerance for product ties (default 1e-9)")
         cmd.add_argument("--group-tol", type=float, default=1e-8,
@@ -586,7 +579,6 @@ def main(argv=None) -> int:
     config = AnalysisConfig(
         input_path=args.input,
         command=args.command,
-        zero_tol=args.zero_tol,
         tie_tol=args.tie_tol,
         group_tol=args.group_tol,
         seed=args.seed,

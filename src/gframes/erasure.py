@@ -9,6 +9,9 @@ those products are constant — for connected graphs this is an if and only
 if. The verdict procedure certifies optimality where a certificate exists
 and otherwise searches the dual family (one shift vector per component,
 which exhausts all duals of a graph frame) for something strictly better.
+
+Every function here takes a dual as a plain ``k x n`` matrix whose column
+``i`` is ``h_i``; the canonical dual's is ``GraphFrameBundle.canonical``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import EnumerationGuardError
-from .frames import DualCandidate, Frame, GraphFrameBundle, dual_family_member
+from .frames import Frame, GraphFrameBundle, dual_family_member
 from .graphs import Graph
 from .linalg import numerical_rank
 from .walkreg import is_walk_regular
@@ -91,7 +94,7 @@ class ErasureReport:
 
 
 def _dual_matrix(frame: Frame, dual) -> np.ndarray:
-    h = dual.realized if isinstance(dual, DualCandidate) else np.asarray(dual, dtype=float)
+    h = np.asarray(dual, dtype=float)
     if h.shape != frame.synthesis.shape:
         raise ValueError(f"expected dual of shape {frame.synthesis.shape}, got {h.shape}")
     return h
@@ -176,14 +179,10 @@ def d_r_lower_bound(frame: Frame, dual, r: int, samples: int, seed: int = 0) -> 
     return _worst_subset(frame, h, np.array(draws, dtype=np.intp))
 
 
-def _canonical_matrix(bundle: GraphFrameBundle) -> np.ndarray:
-    return bundle.frame.synthesis / bundle.eigenvalues[:, None]
-
-
 def canonical_products(bundle: GraphFrameBundle) -> np.ndarray:
     """Per-vertex products ``|f_i| * |S^-1 f_i|``."""
     b = bundle.frame.synthesis
-    return np.linalg.norm(b, axis=0) * np.linalg.norm(_canonical_matrix(bundle), axis=0)
+    return np.linalg.norm(b, axis=0) * np.linalg.norm(bundle.canonical, axis=0)
 
 
 def lambda1_set(bundle: GraphFrameBundle, tie_tol: float = _TIE_TOL) -> tuple:
@@ -194,14 +193,14 @@ def lambda1_set(bundle: GraphFrameBundle, tie_tol: float = _TIE_TOL) -> tuple:
     return tuple(int(v) for v in np.flatnonzero(products >= top * (1.0 - tie_tol)))
 
 
-def constancy_certificate(bundle: GraphFrameBundle, tol: float = 1e-9) -> ConstancyCertificate:
+def constancy_certificate(bundle: GraphFrameBundle, tol: float = _TIE_TOL) -> ConstancyCertificate:
     """Whether the canonical products are constant across vertices."""
     products = canonical_products(bundle)
     spread = float(products.max() - products.min())
     return ConstancyCertificate(spread <= tol * max(1.0, float(products.max())), spread)
 
 
-def non_optimality_witness(bundle: GraphFrameBundle, tie_tol: float = 1e-9,
+def non_optimality_witness(bundle: GraphFrameBundle, tie_tol: float = _TIE_TOL,
                            rank_tol: float = 1e-8) -> Optional[NonOptimalityWitness]:
     """Witness that the canonical dual is not optimal for one erasure, or
     ``None`` when the argmax vectors are dependent and no such certificate
@@ -228,7 +227,7 @@ def _tie_dual(bundle: GraphFrameBundle, lambda1: set):
     products = canonical_products(bundle)
     top = float(products.max())
     f_norms = np.linalg.norm(bundle.frame.synthesis, axis=0)
-    h_norms = np.linalg.norm(_canonical_matrix(bundle), axis=0)
+    h_norms = np.linalg.norm(bundle.canonical, axis=0)
     for c, members in enumerate(bundle.graph.components):
         if not lambda1.isdisjoint(members):
             continue
@@ -263,7 +262,7 @@ def perturbation_search(bundle: GraphFrameBundle, trials: int = 1000,
     k = bundle.frame.dim
     m = bundle.component_count
     comp = bundle.column_component
-    a0 = _canonical_matrix(bundle)
+    a0 = bundle.canonical
     f_norms = np.linalg.norm(bundle.frame.synthesis, axis=0)
 
     def value(shifts):
@@ -347,7 +346,7 @@ def _minimax_descent(bundle, value, x, fx, radius, iterations: int = 300):
     k = bundle.frame.dim
     m = bundle.component_count
     comp = bundle.column_component
-    a0 = _canonical_matrix(bundle)
+    a0 = bundle.canonical
     f_norms = np.linalg.norm(bundle.frame.synthesis, axis=0)
     x = x.copy()
     for _ in range(iterations):
@@ -382,7 +381,7 @@ def _minimax_descent(bundle, value, x, fx, radius, iterations: int = 300):
 
 
 def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: float = 0.01,
-                      seed: int = 0, tie_tol: float = 1e-9,
+                      seed: int = 0, tie_tol: float = _TIE_TOL,
                       group_tol: float = 1e-8) -> ErasureReport:
     """Optimality verdict for the canonical dual, first certificate wins:
 

@@ -8,6 +8,13 @@ vertex ``v``. The Gramian of that frame reproduces the Laplacian exactly,
 the frame operator is the diagonal of nonzero eigenvalues, and each
 component's vectors sum to zero.
 
+A dual frame is a plain read-only ``k x n`` matrix whose column ``v`` is
+the dual vector of vertex ``v``. The canonical dual ``S^-1 F`` is formed
+once, as :attr:`GraphFrameBundle.canonical`; every other dual of a graph
+frame adds one shift vector per component to it
+(:func:`dual_family_member`), and :func:`verify_dual` gives the residual
+of the duality identity for any matrix.
+
 The frame is determined only up to an orthogonal change of basis, so all
 diagnostics exposed by this package are basis invariants;
 :func:`unitary_equivalence_witness` recovers the basis change between two
@@ -20,7 +27,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
-from typing import Optional
 
 import numpy as np
 
@@ -103,19 +109,12 @@ class GraphFrameBundle:
             comp[list(members)] = c
         return comp
 
-
-@dataclass(frozen=True, eq=False)
-class DualCandidate:
-    """A dual frame expressed as the canonical dual plus one shift vector per
-    component; ``realized`` holds the dual vectors as columns."""
-
-    bundle: GraphFrameBundle
-    shifts: np.ndarray
-    realized: np.ndarray
-
-    @property
-    def residual(self) -> float:
-        return verify_dual(self.bundle.frame, self.realized)
+    @cached_property
+    def canonical(self) -> np.ndarray:
+        """The canonical dual ``S^-1 F``: column ``v`` is ``S^-1 f_v``."""
+        h = self.frame.synthesis / self.eigenvalues[:, None]
+        h.setflags(write=False)
+        return h
 
 
 def _reject_isolated_vertices(g: Graph):
@@ -127,7 +126,7 @@ def _reject_isolated_vertices(g: Graph):
             )
 
 
-def build_lg_frame(g: Graph, zero_tol: Optional[float] = None) -> GraphFrameBundle:
+def build_lg_frame(g: Graph) -> GraphFrameBundle:
     """Build the frame generated by ``g`` from its Laplacian eigendecomposition.
 
     Every component must contain an edge. The Laplacian is decomposed with
@@ -140,7 +139,7 @@ def build_lg_frame(g: Graph, zero_tol: Optional[float] = None) -> GraphFrameBund
     """
     _reject_isolated_vertices(g)
     relabeled, mapping = relabel_by_component(g)
-    spectrum = eigh_symmetric(laplacian_matrix(relabeled), zero_tol)
+    spectrum = eigh_symmetric(laplacian_matrix(relabeled))
     p = len(g.components)
     k = g.n - p
     zeros = g.n - spectrum.nonzero_count
@@ -167,38 +166,34 @@ def build_lg_frame(g: Graph, zero_tol: Optional[float] = None) -> GraphFrameBund
     return GraphFrameBundle(g, frame, eigenvalues)
 
 
-def canonical_dual(bundle: GraphFrameBundle) -> DualCandidate:
-    """The canonical dual: columns ``S^-1 f_i``, i.e. zero shifts."""
+def canonical_dual(bundle: GraphFrameBundle) -> np.ndarray:
+    """The canonical dual ``bundle.canonical``, verified: zero shifts."""
     shifts = np.zeros((bundle.component_count, bundle.frame.dim))
     return dual_family_member(bundle, shifts)
 
 
-def dual_family_member(bundle: GraphFrameBundle, shifts) -> DualCandidate:
+def dual_family_member(bundle: GraphFrameBundle, shifts) -> np.ndarray:
     """The dual whose column for vertex ``i`` is ``S^-1 f_i`` plus the shift
-    vector of that vertex's component.
+    vector of that vertex's component, as a read-only ``k x n`` matrix.
 
     Every member of this family is a dual because each component's frame
     vectors sum to zero; the duality identity is still verified and a
     violation raises, since it can only mean an internal bug.
     """
-    shifts = np.array(shifts, dtype=float)
-    k = bundle.frame.dim
-    expected = (bundle.component_count, k)
+    shifts = np.asarray(shifts, dtype=float)
+    expected = (bundle.component_count, bundle.frame.dim)
     if shifts.shape != expected:
         raise ValueError(f"expected shifts of shape {expected}, got {shifts.shape}")
     if not np.all(np.isfinite(shifts)):
         raise ValueError("shift entries must be finite")
-    inv_eigs = 1.0 / bundle.eigenvalues
-    realized = inv_eigs[:, None] * bundle.frame.synthesis + shifts[bundle.column_component].T
-    realized.setflags(write=False)
-    shifts.setflags(write=False)
-    candidate = DualCandidate(bundle, shifts, realized)
-    residual = candidate.residual
+    h = bundle.canonical + shifts[bundle.column_component].T
+    h.setflags(write=False)
+    residual = verify_dual(bundle.frame, h)
     if residual > _DUALITY_TOL:
         raise RuntimeError(
             f"duality identity violated (residual {residual:.2e}); this is a bug"
         )
-    return candidate
+    return h
 
 
 def verify_dual(frame: Frame, dual_matrix) -> float:

@@ -7,7 +7,7 @@ import pytest
 from jsonschema import validate
 
 from gframes import fixtures, is_regular
-from gframes.cli import REPORT_SCHEMA
+from gframes.cli import COMMANDS, REPORT_SCHEMA
 
 from _oracles import edge_list_text, fixture_path, random_connected_graph, run_cli
 
@@ -59,6 +59,12 @@ class TestExitCodes:
     def test_usage_error(self):
         code, _, _ = run_cli(["no-such-command", "x"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_zero_tol_is_not_an_option(self, command):
+        # the zero-eigenvalue count is the component count; no flag sets it
+        code, out, err = run_cli([command, fixture_path("path3"), "--zero-tol", "1e-9"])
+        assert code == 1 and out == "" and "--zero-tol" in err
 
     @pytest.mark.parametrize("command,routine", [("dr-table", "eigvals"), ("frame-spark", "svd")])
     def test_lapack_failure_is_numerical(self, monkeypatch, command, routine):
@@ -148,6 +154,14 @@ class TestJsonReports:
         assert rows[0]["max_subset"] == [2]
         assert rows[2]["max_subset"] == [1, 2, 3]
 
+    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    def test_d1_canonical_same_in_verdict_and_dr_table(self, name):
+        lines = []
+        for command in ("od-verdict", "dr-table"):
+            _, out, _ = run_cli([command, fixture_path(name)])
+            lines += [line.strip() for line in out.splitlines() if '"d1_canonical"' in line]
+        assert len(lines) == 2 and lines[0] == lines[1]
+
     def test_dr_table_custom_dual(self, tmp_path):
         shifts = tmp_path / "shifts.json"
         shifts.write_text("[[0.001, -0.001, 0, 0, 0, 0, 0]]")
@@ -203,7 +217,7 @@ class TestJsonReports:
         config = json.loads(out)["config"]
         assert config["tie_tol"] == 1e-10
         assert config["seed"] == 5
-        assert config["zero_tol"] == "auto"
+        assert "zero_tol" not in config
 
     def test_floats_have_at_most_12_significant_digits(self):
         _, out, _ = run_cli(["od-verdict", fixture_path("figure2")])

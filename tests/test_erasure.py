@@ -29,7 +29,9 @@ from gframes import (
     unitary_equivalence_witness,
 )
 
-from _oracles import alt_frame_cubic8, alt_frame_two_component
+from gframes import erasure
+
+from _oracles import alt_frame_cubic8, alt_frame_two_component, random_connected_graph
 
 SQRT10_OVER_4 = np.sqrt(10.0) / 4.0
 CUBIC8_D1 = 0.9977653603356424          # sqrt(3) * max dual norm
@@ -38,6 +40,58 @@ CUBIC8_SHIFTED_D1 = 0.9972071178616011  # D^1 of the worked shifted dual
 
 def bundle_of(name):
     return build_lg_frame(fixtures.FIXTURES[name]())
+
+
+def disjoint_union(a, b):
+    shifted = {(u + a.n, v + a.n) for u, v in b.edges}
+    return Graph(a.n + b.n, frozenset(a.edges | shifted))
+
+
+def cycle(m):
+    return Graph(m, frozenset((i, (i + 1) % m) for i in range(m)))
+
+
+class TestOneCanonicalPath:
+    """The products, the verdicts and D^r all read the same canonical dual."""
+
+    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    def test_products_equal_d1_fast_on_fixtures(self, name):
+        b = bundle_of(name)
+        assert np.array_equal(canonical_products(b), d1_fast(b.frame, canonical_dual(b))[1])
+
+    def test_products_equal_d1_fast_on_random_graphs(self):
+        rng = np.random.default_rng(271)
+        for _ in range(50):
+            b = build_lg_frame(random_connected_graph(rng, 6, 30))
+            assert np.array_equal(canonical_products(b), d1_fast(b.frame, canonical_dual(b))[1])
+
+
+class TestPerComponentOptimality:
+    def test_search_improves_unless_a_constant_component_attains_max(self):
+        # Components separate, so the canonical D^1 can be lowered exactly
+        # when every component meeting the argmax set has non-constant
+        # products. Graphs: a cycle plus an irregular graph, or two
+        # irregular graphs, n <= 12; the seed gives both outcomes.
+        rng = np.random.default_rng(9)
+        outcomes = []
+        for trial in range(8):
+            if trial % 2 == 0:
+                m = int(rng.integers(4, 9))
+                g = disjoint_union(cycle(m), random_connected_graph(rng, 4, min(6, 12 - m)))
+            else:
+                g = disjoint_union(random_connected_graph(rng, 3, 6),
+                                   random_connected_graph(rng, 3, 6))
+            b = build_lg_frame(g)
+            products = canonical_products(b)
+            top = set(lambda1_set(b))
+            constant_at_max = any(
+                not top.isdisjoint(members)
+                and np.ptp(products[list(members)]) <= erasure._TIE_TOL * products.max()
+                for members in g.components
+            )
+            assert perturbation_search(b).improved != constant_at_max, trial
+            outcomes.append(constant_at_max)
+        assert any(outcomes) and not all(outcomes)
 
 
 class TestErrorOperator:
@@ -51,7 +105,7 @@ class TestErrorOperator:
         for i in range(7):
             op = error_operator(b.frame, dual, [i])
             f_i = b.frame.synthesis[:, i]
-            h_i = dual.realized[:, i]
+            h_i = dual[:, i]
             assert np.linalg.norm(op, 2) == pytest.approx(
                 np.linalg.norm(f_i) * np.linalg.norm(h_i), abs=1e-12
             )

@@ -100,19 +100,19 @@ class TestCanonicalDual:
     def test_k3_scalar_operator(self):
         b = bundle_of("k3")
         dual = canonical_dual(b)
-        assert np.allclose(dual.realized, b.frame.synthesis / 3.0, atol=1e-12)
-        assert np.array_equal(dual.shifts, np.zeros((1, 2)))
+        assert np.allclose(dual, b.frame.synthesis / 3.0, atol=1e-12)
+        assert np.array_equal(dual, b.canonical)
 
     def test_two_component_products(self):
         b = bundle_of("figure1")
         dual = canonical_dual(b)
-        products = np.linalg.norm(dual.realized, axis=0) * np.linalg.norm(b.frame.synthesis, axis=0)
+        products = np.linalg.norm(dual, axis=0) * np.linalg.norm(b.frame.synthesis, axis=0)
         assert np.allclose(products[:3], 2.0 / 3.0, atol=1e-9)
         assert np.allclose(products[3:], np.sqrt(10) / 4.0, atol=1e-9)
 
     def test_cubic8_norm_multiset(self):
         b = bundle_of("figure2")
-        norms = np.sort(np.linalg.norm(canonical_dual(b).realized, axis=0))
+        norms = np.sort(np.linalg.norm(canonical_dual(b), axis=0))
         expected = np.sort([0.546907, 0.546907, 0.568258, 0.568258,
                             0.576060, 0.576060, 0.576060, 0.576060])
         assert np.allclose(norms, expected, atol=5e-6)
@@ -122,7 +122,7 @@ class TestCanonicalDual:
         # two routes to the same numbers: dual-vector norms vs pinv diagonal
         b = bundle_of(name)
         dual = canonical_dual(b)
-        squared = np.sum(dual.realized ** 2, axis=0)
+        squared = np.sum(dual ** 2, axis=0)
         pinv_diag = np.diag(moore_penrose(laplacian_matrix(b.graph)))
         assert np.abs(squared - pinv_diag).max() <= 1e-8
 
@@ -131,7 +131,7 @@ class TestDualFamily:
     def test_zero_shifts_is_canonical(self):
         b = bundle_of("figure1")
         member = dual_family_member(b, np.zeros((2, 5)))
-        assert np.allclose(member.realized, canonical_dual(b).realized, atol=1e-14)
+        assert np.allclose(member, canonical_dual(b), atol=1e-14)
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_random_members_are_duals(self, name):
@@ -140,7 +140,7 @@ class TestDualFamily:
         for _ in range(10):
             shifts = rng.standard_normal((b.component_count, b.frame.dim))
             member = dual_family_member(b, shifts)
-            assert member.residual <= 1e-8
+            assert verify_dual(b.frame, member) <= 1e-8
 
     def test_shape_validation(self):
         b = bundle_of("figure1")
@@ -149,11 +149,34 @@ class TestDualFamily:
         with pytest.raises(ValueError, match="shape"):
             dual_family_member(b, np.zeros((2, 4)))
 
+    def test_non_finite_shifts_rejected(self):
+        b = bundle_of("figure1")
+        shifts = np.zeros((2, 5))
+        shifts[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            dual_family_member(b, shifts)
+
+    def test_duals_are_read_only_matrices(self):
+        b = bundle_of("figure1")
+        member = dual_family_member(b, np.ones((2, 5)))
+        for h in (b.canonical, canonical_dual(b), member):
+            assert isinstance(h, np.ndarray) and h.shape == (5, 7)
+            assert not h.flags.writeable
+        assert b.canonical is b.canonical
+        assert np.array_equal(canonical_dual(b), b.canonical)
+        assert np.array_equal(member[:, :3], b.canonical[:, :3] + 1.0)
+
+    def test_duality_violation_raises(self):
+        b = bundle_of("figure2")
+        b.__dict__["canonical"] = 2.0 * b.frame.synthesis
+        with pytest.raises(RuntimeError, match="duality identity violated"):
+            canonical_dual(b)
+
 
 class TestVerifyDual:
     def test_canonical_residual(self):
         b = bundle_of("petersen")
-        assert verify_dual(b.frame, canonical_dual(b).realized) <= 1e-10
+        assert verify_dual(b.frame, canonical_dual(b)) <= 1e-10
 
     def test_zero_dual(self):
         b = bundle_of("k3")
@@ -316,7 +339,7 @@ class TestBasisInvariance:
     def test_cubic8_dual_norms(self):
         b = bundle_of("figure2")
         alt = alt_frame_cubic8()
-        mine = np.sort(np.sum(canonical_dual(b).realized ** 2, axis=0))
+        mine = np.sort(np.sum(canonical_dual(b) ** 2, axis=0))
         s_alt = alt.frame_operator
         alt_dual = np.linalg.solve(s_alt, alt.synthesis)
         theirs = np.sort(np.sum(alt_dual ** 2, axis=0))
