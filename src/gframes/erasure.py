@@ -254,6 +254,9 @@ def perturbation_search(bundle: GraphFrameBundle, trials: int = 1000,
     cyclic coordinate descent followed by steepest descent for the max
     (moving against the minimum-norm point of the active products'
     gradients, which handles ties no single coordinate can improve).
+    Both descents evaluate each probe in closed form from per-vertex
+    quadratics instead of rebuilding the dual; the reported ``d1`` is
+    recomputed from the full dual of the returned shifts.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -281,45 +284,94 @@ def perturbation_search(bundle: GraphFrameBundle, trials: int = 1000,
     batch_vals = (np.linalg.norm(batch, axis=1) * f_norms).max(axis=1)
 
     best = np.zeros((m, k))
-    best_val = canonical
     pick = int(np.argmin(batch_vals))
-    pick_val = value(samples[pick])
-    if pick_val < best_val:
-        best, best_val = samples[pick].copy(), pick_val
+    if value(samples[pick]) < canonical:
+        best = samples[pick].copy()
 
-    best, best_val = _coordinate_descent(value, best, best_val, radius)
-    best, best_val = _minimax_descent(bundle, value, best, best_val, radius)
+    best = _coordinate_descent(bundle, best, radius)
+    best = _minimax_descent(bundle, best, radius)
+    best_val = value(best)
 
     improved = canonical - best_val > _IMPROVEMENT_TOL
     return SearchResult(best, best_val, canonical, improved, trials, radius, seed)
 
 
-def _coordinate_descent(value, x, fx, radius, passes: int = 40, steps: int = 60):
-    x = x.copy()
+class _ShiftState:
+    """Shifts ``x`` of the canonical dual together with, per component, the
+    dual's columns ``h``, their squared norms ``sq`` and the largest weighted
+    one ``top`` (``max w_i²|h_i|²`` with ``w_i = |f_i|``), kept current as
+    single coordinates move. The squared objective is ``max(top)``."""
+
+    def __init__(self, bundle: GraphFrameBundle, x):
+        synthesis = bundle.frame.synthesis
+        comp = bundle.column_component
+        columns = [np.flatnonzero(comp == c) for c in range(bundle.component_count)]
+        self.x = np.array(x, dtype=float)
+        self.a0 = [bundle.canonical[:, cols] for cols in columns]
+        self.w2 = [(synthesis[:, cols] ** 2).sum(axis=0) for cols in columns]
+        self.h = [a + s[:, None] for a, s in zip(self.a0, self.x)]
+        self.sq = [(h * h).sum(axis=0) for h in self.h]
+        self.top = [float((w * q).max()) for w, q in zip(self.w2, self.sq)]
+
+    def coordinate_probe(self, c: int, d: int):
+        """The squared objective with ``x[c, d]`` set to ``t``, as a function
+        of ``t``: only row ``d`` of component ``c``'s columns changes, so it
+        is ``max(out², max_i w_i²(sq_i − h_di² + (a0_di + t)²))``, with
+        ``out²`` the largest value over the other components."""
+        out2 = max((top for j, top in enumerate(self.top) if j != c), default=0.0)
+        w2, a = self.w2[c], self.a0[c][d]
+        rest = self.sq[c] - self.h[c][d] ** 2
+        return lambda t: max(out2, (w2 * (rest + (a + t) ** 2)).max())
+
+    def move(self, c: int, d: int, t: float) -> None:
+        """Set ``x[c, d] = t``, updating only component ``c``'s columns."""
+        self.x[c, d] = t
+        h = self.h[c]
+        h[d] = self.a0[c][d] + t
+        self.sq[c] = (h * h).sum(axis=0)
+        self.top[c] = float((self.w2[c] * self.sq[c]).max())
+
+
+def _line_probe(h: np.ndarray, w2: np.ndarray, u: np.ndarray):
+    """The squared objective along the dual ``h + t·u`` as a function of
+    ``t``: column ``i`` contributes ``w_i²|h_i + t·u_i|² = α_i + 2tβ_i +
+    t²γ_i``, the per-component weighted 1-center form, so each probe is one
+    O(n) expression in the precomputed ``α``, ``β`` and ``γ``."""
+    alpha = w2 * (h * h).sum(axis=0)
+    two_beta = 2.0 * w2 * (h * u).sum(axis=0)
+    gamma = w2 * (u * u).sum(axis=0)
+    return lambda t: (alpha + t * (two_beta + t * gamma)).max()
+
+
+def _coordinate_descent(bundle, x, radius, passes: int = 40, steps: int = 60):
+    """Cyclic coordinate descent, one trisection per shift coordinate; a
+    move is kept when it lowers the objective. A component with no vertex
+    at the maximum is skipped: moving it cannot lower the maximum."""
+    state = _ShiftState(bundle, x)
+    m, k = state.x.shape
     for _ in range(passes):
         gained = 0.0
-        for c in range(x.shape[0]):
-            for d in range(x.shape[1]):
-                lo, hi = x[c, d] - radius, x[c, d] + radius
+        for c in range(m):
+            for d in range(k):
+                fx2 = max(state.top)
+                if state.top[c] < fx2:
+                    break  # and nothing changes for the rest of c's block
+                probe = state.coordinate_probe(c, d)
+                lo, hi = state.x[c, d] - radius, state.x[c, d] + radius
                 for _ in range(steps):
                     third = (hi - lo) / 3.0
-                    y = x.copy()
-                    y[c, d] = lo + third
-                    f1 = value(y)
-                    y[c, d] = hi - third
-                    if f1 <= value(y):
+                    if probe(lo + third) <= probe(hi - third):
                         hi -= third
                     else:
                         lo += third
-                y = x.copy()
-                y[c, d] = 0.5 * (lo + hi)
-                fy = value(y)
-                if fy < fx:
-                    gained += fx - fy
-                    x, fx = y, fy
+                t = 0.5 * (lo + hi)
+                fy2 = probe(t)
+                if fy2 < fx2:
+                    gained += math.sqrt(fx2) - math.sqrt(fy2)
+                    state.move(c, d, t)
         if gained < 1e-13:
             break
-    return x, fx
+    return state.x
 
 
 def _min_norm_in_hull(points: np.ndarray) -> np.ndarray:
@@ -340,14 +392,16 @@ def _min_norm_in_hull(points: np.ndarray) -> np.ndarray:
     return x
 
 
-def _minimax_descent(bundle, value, x, fx, radius, iterations: int = 300):
+def _minimax_descent(bundle, x, radius, iterations: int = 300):
     """Steepest descent for the max of the per-vertex products: the descent
-    direction is the negated minimum-norm point of the active gradients."""
+    direction is the negated minimum-norm point of the active gradients,
+    and the step is a trisection of the closed-form line probe."""
     k = bundle.frame.dim
     m = bundle.component_count
     comp = bundle.column_component
     a0 = bundle.canonical
     f_norms = np.linalg.norm(bundle.frame.synthesis, axis=0)
+    w2 = (bundle.frame.synthesis ** 2).sum(axis=0)
     x = x.copy()
     for _ in range(iterations):
         h = a0 + x[comp].T
@@ -364,20 +418,19 @@ def _minimax_descent(bundle, value, x, fx, radius, iterations: int = 300):
         if norm <= 1e-12:
             break
         unit = (-direction / norm).reshape(m, k)
+        probe = _line_probe(h, w2, unit[comp].T)
         lo, hi = 0.0, radius
         for _ in range(80):
             third = (hi - lo) / 3.0
-            if value(x + (lo + third) * unit) <= value(x + (hi - third) * unit):
+            if probe(lo + third) <= probe(hi - third):
                 hi -= third
             else:
                 lo += third
         t = 0.5 * (lo + hi)
-        fy = value(x + t * unit)
-        if fy >= fx - 1e-15:
+        if math.sqrt(probe(t)) >= top - 1e-15:
             break
         x = x + t * unit
-        fx = fy
-    return x, fx
+    return x
 
 
 def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: float = 0.01,

@@ -374,6 +374,93 @@ class TestPerturbationSearch:
             perturbation_search(b, radius=0.0)
 
 
+def probe_bundles():
+    """The fixtures plus 36 seeded graphs, every third of them two components."""
+    bundles = [bundle_of(name) for name in sorted(fixtures.FIXTURES)]
+    rng = np.random.default_rng(4242)
+    for trial in range(36):
+        if trial % 3 == 0:
+            g = disjoint_union(random_connected_graph(rng, 3, 7), random_connected_graph(rng, 3, 7))
+        else:
+            g = random_connected_graph(rng, 4, 14)
+        bundles.append(build_lg_frame(g))
+    return bundles
+
+
+class TestClosedFormProbes:
+    """The descents' closed-form probes equal D^1 of the probed dual."""
+
+    def test_coordinate_probes(self):
+        rng = np.random.default_rng(17)
+        for b in probe_bundles():
+            m, k = b.component_count, b.frame.dim
+            x = 0.05 * rng.standard_normal((m, k))
+            state = erasure._ShiftState(b, x)
+            for _ in range(5):
+                c, d = int(rng.integers(m)), int(rng.integers(k))
+                t = state.x[c, d] + 0.1 * rng.standard_normal()
+                y = state.x.copy()
+                y[c, d] = t
+                expected, _ = d1_fast(b.frame, dual_family_member(b, y))
+                assert np.sqrt(state.coordinate_probe(c, d)(t)) == pytest.approx(expected, rel=1e-12)
+                state.move(c, d, t)
+                assert np.array_equal(state.x, y)
+                assert np.sqrt(max(state.top)) == pytest.approx(expected, rel=1e-12)
+
+    def test_line_probes(self):
+        rng = np.random.default_rng(18)
+        for b in probe_bundles():
+            m, k = b.component_count, b.frame.dim
+            w2 = (b.frame.synthesis ** 2).sum(axis=0)
+            x = 0.05 * rng.standard_normal((m, k))
+            h = dual_family_member(b, x)
+            for _ in range(5):
+                unit = rng.standard_normal((m, k))
+                unit /= np.linalg.norm(unit)
+                probe = erasure._line_probe(h, w2, unit[b.column_component].T)
+                t = 0.1 * rng.random()
+                expected, _ = d1_fast(b.frame, dual_family_member(b, x + t * unit))
+                assert np.sqrt(probe(t)) == pytest.approx(expected, rel=1e-12)
+
+
+class TestSearchQualityPins:
+    """The search's d1 and ``improved`` as the search gave them when every
+    probe rebuilt the whole dual. Evaluating the same probes in closed form
+    changes their rounding, which may move d1 in its last digits but must
+    not lose quality; a change of descent path (say, exact line
+    minimisation instead of trisection) shows up here."""
+
+    PINS = {
+        "figure2": (0.9837378827737364, True),
+        "cubic8-2000": (0.9837378831914146, True),
+        "connected0": (0.9473093121046698, True),
+        "connected1": (0.9873970495669312, True),
+        "connected2": (0.9447201422182278, True),
+        "connected3": (1.3404257981392123, True),
+        "two0": (0.9724173491290256, True),
+        "two1": (0.8701894318346964, True),
+    }
+
+    @staticmethod
+    def cases():
+        yield "figure2", bundle_of("figure2"), {}
+        yield "cubic8-2000", build_lg_frame(fixtures.cubic8()), dict(trials=2000, radius=0.01, seed=0)
+        rng = np.random.default_rng(1010)
+        for i in range(4):
+            g = random_connected_graph(rng, 6, 10)
+            yield f"connected{i}", build_lg_frame(g), dict(trials=300, radius=0.05, seed=i)
+        for i in range(2):
+            g = disjoint_union(random_connected_graph(rng, 3, 6), random_connected_graph(rng, 3, 6))
+            yield f"two{i}", build_lg_frame(g), dict(trials=300, radius=0.05, seed=10 + i)
+
+    def test_no_worse_than_pinned(self):
+        for name, b, kwargs in self.cases():
+            pinned_d1, pinned_improved = self.PINS[name]
+            result = perturbation_search(b, **kwargs)
+            assert result.d1 <= pinned_d1 + 1e-8 * result.canonical_d1, name
+            assert result.improved == pinned_improved, name
+
+
 class TestWorkedShiftedDuals:
     """Reproduce the two worked alternate duals by mapping their shifts from
     the block eigenbasis into the solver's basis with the unitary witness."""
