@@ -254,9 +254,13 @@ def perturbation_search(bundle: GraphFrameBundle, trials: int = 1000,
     cyclic coordinate descent followed by steepest descent for the max
     (moving against the minimum-norm point of the active products'
     gradients, which handles ties no single coordinate can improve).
-    Both descents evaluate each probe in closed form from per-vertex
-    quadratics instead of rebuilding the dual; the reported ``d1`` is
-    recomputed from the full dual of the returned shifts.
+    Every stage works in closed form from per-vertex quadratics instead of
+    rebuilding the dual: a sample's value expands ``w_i²|a_i + s_c|²``
+    with one product per component, so sampling needs O(trials·n) memory;
+    each coordinate moves to the exact minimiser of its probe on a bracket
+    of the given radius; the descent direction is Wolfe's exact
+    minimum-norm point. The reported ``d1`` is recomputed from the full
+    dual of the returned shifts.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -280,11 +284,9 @@ def perturbation_search(bundle: GraphFrameBundle, trials: int = 1000,
     lengths = np.linalg.norm(gauss, axis=2)
     lengths[lengths == 0.0] = 1.0
     samples = gauss / lengths[:, :, None] * radii[:, :, None]
-    batch = a0[None, :, :] + samples[:, comp, :].transpose(0, 2, 1)
-    batch_vals = (np.linalg.norm(batch, axis=1) * f_norms).max(axis=1)
 
     best = np.zeros((m, k))
-    pick = int(np.argmin(batch_vals))
+    pick = int(np.argmin(_sample_values(bundle, samples)))
     if value(samples[pick]) < canonical:
         best = samples[pick].copy()
 
@@ -294,6 +296,25 @@ def perturbation_search(bundle: GraphFrameBundle, trials: int = 1000,
 
     improved = canonical - best_val > _IMPROVEMENT_TOL
     return SearchResult(best, best_val, canonical, improved, trials, radius, seed)
+
+
+def _sample_values(bundle: GraphFrameBundle, samples: np.ndarray) -> np.ndarray:
+    """The squared objective ``max_i w_i²|a_i + s_c|²`` of each shift stack
+    ``s`` in ``samples`` (trials × m × k), expanded as ``w_i²(|a_i|² +
+    2a_i·s_c + |s_c|²)``: one trials × n_c product per component, never a
+    trials × k × n dual."""
+    a0 = bundle.canonical
+    w2 = (bundle.frame.synthesis ** 2).sum(axis=0)
+    a_sq = (a0 * a0).sum(axis=0)
+    values = np.zeros(len(samples))
+    for c in range(bundle.component_count):
+        cols = np.flatnonzero(bundle.column_component == c)
+        s = samples[:, c, :]
+        s_sq = (s * s).sum(axis=1)
+        cross = s @ a0[:, cols]
+        top = (w2[cols] * (a_sq[cols] + 2.0 * cross + s_sq[:, None])).max(axis=1)
+        np.maximum(values, top, out=values)
+    return values
 
 
 class _ShiftState:
@@ -323,6 +344,39 @@ class _ShiftState:
         rest = self.sq[c] - self.h[c][d] ** 2
         return lambda t: max(out2, (w2 * (rest + (a + t) ** 2)).max())
 
+    def coordinate_minimiser(self, c: int, d: int, radius: float) -> float:
+        """The exact minimiser of ``coordinate_probe(c, d)`` on the bracket
+        ``[x − radius, x + radius]`` around ``x = x[c, d]``.
+
+        With ``t = x + s`` column ``i`` is the parabola ``p_i(s) =
+        w_i²(sq_i + 2h_di·s + s²)``, and the component's value is their
+        maximum, a convex function. Its minimum lies at a bracket end, at a
+        parabola's vertex ``s = −h_di`` or where two parabolas cross, and all
+        of these are evaluated at once. A parabola whose largest value on the
+        bracket is below the largest of their smallest values is never the
+        maximum there, so it is dropped before the pairs are formed. Where
+        ``out²`` dominates, every point of its plateau minimises the probe;
+        the one returned also minimises the component's own maximum.
+        """
+        w2, a, h, sq = self.w2[c], self.a0[c][d], self.h[c][d], self.sq[c]
+        lowest = np.clip(-h, -radius, radius)
+        floor = (w2 * (sq + lowest * (2.0 * h + lowest))).max()
+        keep = w2 * (sq + radius * (radius + 2.0 * np.abs(h))) >= floor
+        w2, a, h, sq = w2[keep], a[keep], h[keep], sq[keep]
+        i, j = np.triu_indices(len(w2), 1)
+        quad = w2[i] - w2[j]
+        half = w2[i] * h[i] - w2[j] * h[j]
+        const = w2[i] * sq[i] - w2[j] * sq[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = half + np.copysign(np.sqrt(half * half - quad * const), half)
+            crossings = np.concatenate((-root / quad, -const / root))
+        s = np.concatenate(([-radius, radius], -h, crossings))
+        s = np.clip(s[np.isfinite(s)], -radius, radius)
+        t = self.x[c, d] + s
+        rest = sq - h * h
+        values = (w2 * (rest + (a + t[:, None]) ** 2)).max(axis=1)
+        return float(t[np.argmin(values)])
+
     def move(self, c: int, d: int, t: float) -> None:
         """Set ``x[c, d] = t``, updating only component ``c``'s columns."""
         self.x[c, d] = t
@@ -343,10 +397,11 @@ def _line_probe(h: np.ndarray, w2: np.ndarray, u: np.ndarray):
     return lambda t: (alpha + t * (two_beta + t * gamma)).max()
 
 
-def _coordinate_descent(bundle, x, radius, passes: int = 40, steps: int = 60):
-    """Cyclic coordinate descent, one trisection per shift coordinate; a
-    move is kept when it lowers the objective. A component with no vertex
-    at the maximum is skipped: moving it cannot lower the maximum."""
+def _coordinate_descent(bundle, x, radius, passes: int = 40):
+    """Cyclic coordinate descent, each shift coordinate moved to the exact
+    minimiser of its probe within ``radius``; a move is kept when it lowers
+    the objective. A component with no vertex at the maximum is skipped:
+    moving it cannot lower the maximum."""
     state = _ShiftState(bundle, x)
     m, k = state.x.shape
     for _ in range(passes):
@@ -356,16 +411,8 @@ def _coordinate_descent(bundle, x, radius, passes: int = 40, steps: int = 60):
                 fx2 = max(state.top)
                 if state.top[c] < fx2:
                     break  # and nothing changes for the rest of c's block
-                probe = state.coordinate_probe(c, d)
-                lo, hi = state.x[c, d] - radius, state.x[c, d] + radius
-                for _ in range(steps):
-                    third = (hi - lo) / 3.0
-                    if probe(lo + third) <= probe(hi - third):
-                        hi -= third
-                    else:
-                        lo += third
-                t = 0.5 * (lo + hi)
-                fy2 = probe(t)
+                t = state.coordinate_minimiser(c, d, radius)
+                fy2 = state.coordinate_probe(c, d)(t)
                 if fy2 < fx2:
                     gained += math.sqrt(fx2) - math.sqrt(fy2)
                     state.move(c, d, t)
@@ -374,28 +421,79 @@ def _coordinate_descent(bundle, x, radius, passes: int = 40, steps: int = 60):
     return state.x
 
 
-def _min_norm_in_hull(points: np.ndarray) -> np.ndarray:
-    """Minimum-norm point of the convex hull of the given row vectors
-    (Frank-Wolfe with exact line search; ample for a handful of points)."""
-    x = points[0].copy()
-    for _ in range(400):
-        dots = points @ x
+#: Wolfe's stopping rule: the hull point is optimal once no point lies more
+#: than this fraction of the largest squared point norm below ``|x|²``.
+_HULL_TOL = 1e-14
+
+
+def _affine_min_norm(points: np.ndarray) -> np.ndarray:
+    """Weights ``μ`` with ``Σμ = 1`` minimising ``|μ @ points|``, from the
+    bordered normal equations ``[G 1; 1ᵀ 0]``, solved by least squares so
+    that affinely dependent points (duplicates, say) still get weights."""
+    count = len(points)
+    system = np.ones((count + 1, count + 1))
+    system[:count, :count] = points @ points.T
+    system[count, count] = 0.0
+    rhs = np.zeros(count + 1)
+    rhs[count] = 1.0
+    return np.linalg.lstsq(system, rhs, rcond=None)[0][:count]
+
+
+def _min_norm_in_hull(points: np.ndarray) -> tuple:
+    """Minimum-norm point of the convex hull of the given row vectors and
+    its convex weights over them, by Wolfe's algorithm ("Finding the nearest
+    point in a polytope", Math. Programming 1976): keep a corral of points
+    whose affine minimum-norm point has positive weights, add the point
+    most opposed to the current ``x`` and, while some weight turns
+    non-positive, step back to the corral's boundary and drop that point.
+    Returns ``(x, weights)``; ``weights`` has one entry per point."""
+    scaled = points / max(float(np.linalg.norm(points, axis=1).max()), 1e-300)
+    corral = [int(np.argmin((scaled * scaled).sum(axis=1)))]
+    weights = np.ones(1)
+    x = scaled[corral[0]]
+    for _ in range(4 * len(points) + 8):  # finite in exact arithmetic; caps rounding cycles
+        dots = scaled @ x
         j = int(np.argmin(dots))
-        gap = float(x @ x - dots[j])
-        if gap <= 1e-15 * max(1.0, float(x @ x)):
+        if float(x @ x) - dots[j] <= _HULL_TOL or j in corral:
             break
-        step = x - points[j]
-        denom = float(step @ step)
-        if denom <= 0.0:
-            break
-        x = x - min(1.0, gap / denom) * step
-    return x
+        corral.append(j)
+        weights = np.append(weights, 0.0)
+        while True:
+            mu = _affine_min_norm(scaled[corral])
+            if (mu > _HULL_TOL).all():
+                weights = mu
+                break
+            # step from the weights towards μ until the first weight reaches
+            # zero (at once for an entering point whose μ is not positive)
+            shrinking = np.flatnonzero(mu <= _HULL_TOL)
+            gaps = np.maximum(weights[shrinking] - mu[shrinking], 1e-300)
+            ratio = weights[shrinking] / gaps
+            weights = weights + float(ratio.min()) * (mu - weights)
+            live = weights > _HULL_TOL
+            live[shrinking[np.argmin(ratio)]] = False
+            corral = [p for p, alive in zip(corral, live) if alive]
+            weights = weights[live] / weights[live].sum()
+        x = weights @ scaled[corral]
+        if j not in corral:
+            break  # rounding refused the entering point: x is optimal to rounding
+    full = np.zeros(len(points))
+    full[corral] = weights
+    return full @ points, full
 
 
 def _minimax_descent(bundle, x, radius, iterations: int = 300):
     """Steepest descent for the max of the per-vertex products: the descent
     direction is the negated minimum-norm point of the active gradients,
-    and the step is a trisection of the closed-form line probe."""
+    and the step is a trisection of the closed-form line probe over
+    ``[0, radius]``.
+
+    The step stays an 80-step trisection rather than the exact minimiser
+    the coordinate step uses. On a convex probe it already ends within
+    ``(2/3)^80·radius`` of that minimiser: an exact step (a bracket end, a
+    vertex or a crossing of two of the quadratics) gave figure2 the same
+    d1, 0.9837378823083094 against 0.9837378823083093, and moved no
+    ``sweep`` corpus search (seeds 1-3) by more than 2.4e-16 relative.
+    """
     k = bundle.frame.dim
     m = bundle.component_count
     comp = bundle.column_component
@@ -413,7 +511,7 @@ def _minimax_descent(bundle, x, radius, iterations: int = 300):
         for row, i in enumerate(active):
             block = int(comp[i]) * k
             grads[row, block:block + k] = f_norms[i] * h[:, i] / max(h_norms[i], 1e-300)
-        direction = _min_norm_in_hull(grads)
+        direction, _ = _min_norm_in_hull(grads)
         norm = float(np.linalg.norm(direction))
         if norm <= 1e-12:
             break

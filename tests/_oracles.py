@@ -4,8 +4,9 @@ Everything here is deliberately computed by a route different from the
 library under test: determinants by fraction-free elimination, closed
 walks by explicit enumeration, symmetric eigendecompositions by cyclic
 Jacobi sweeps, ranks and norms by numpy's LAPACK bindings (the spark by
-one SVD per column subset), and frames from hand-entered
-block-structured eigenbases.
+one SVD per column subset), minimum-norm points by Frank-Wolfe, convex
+minima by trisection, and frames from hand-entered block-structured
+eigenbases.
 """
 
 from __future__ import annotations
@@ -144,6 +145,40 @@ def spark_by_subsets(frame: Frame, rank_tol: float = 1e-8) -> int:
             if np.sum(svals > rank_tol * max(1.0, float(svals[0]))) < s:
                 return s
     return k + 1
+
+
+def min_norm_in_hull_frank_wolfe(points, iterations: int = 400) -> tuple:
+    """Minimum-norm point of the convex hull of the given row vectors by
+    Frank-Wolfe with exact line search, started at the first point. Returns
+    ``(x, gap)`` with the duality gap ``|x|² − min_j p_j·x``, which bounds
+    ``|x − x*|²``; convergence is sublinear, so callers check the gap."""
+    points = np.asarray(points, dtype=float)
+    x = points[0].copy()
+    gap = math.inf
+    for _ in range(iterations):
+        dots = points @ x
+        j = int(np.argmin(dots))
+        gap = float(x @ x - dots[j])
+        if gap <= 1e-15 * max(1.0, float(x @ x)):
+            break
+        step = x - points[j]
+        denom = float(step @ step)
+        if denom <= 0.0:
+            break
+        x = x - min(1.0, gap / denom) * step
+    return x, gap
+
+
+def trisect(probe, lo: float, hi: float, steps: int = 60) -> float:
+    """Minimiser of a convex function on ``[lo, hi]`` by ``steps``
+    trisections, moving left on ties."""
+    for _ in range(steps):
+        third = (hi - lo) / 3.0
+        if probe(lo + third) <= probe(hi - third):
+            hi -= third
+        else:
+            lo += third
+    return 0.5 * (lo + hi)
 
 
 def edge_list_text(g: Graph) -> str:
