@@ -1,15 +1,16 @@
 """Command-line surface and report emission.
 
 Six commands over an edge-list file: ``graph-info``, ``frame-build``,
-``frame-spark``, ``od-verdict``, ``od-search``, and ``dr-table``. Reports
-are emitted as JSON (the canonical machine format; see
+``frame-spark``, ``od-verdict``, ``od-search``, and ``dr-table``, each
+taking only the options it reads; the report's ``config`` echoes them.
+Reports are emitted as JSON (the canonical machine format; see
 :data:`REPORT_SCHEMA`), CSV with one row per vertex for per-vertex
 quantities, or plain text. Output is byte-identical for identical input
-and configuration: floats are serialized with 12 significant digits and
-every enumeration or search is seeded and deterministic.
+and options: floats are serialized with 12 significant digits and every
+enumeration or search is seeded and deterministic.
 
 Vertex labels in reports are 1-based, matching the edge-list format.
-Exit codes: 0 success, 1 unusable input, 2 numerical failure, 3
+Exit codes: 0 success, 1 unusable input or options, 2 numerical failure, 3
 enumeration guard exceeded.
 """
 
@@ -21,9 +22,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .linalg import eigh_symmetric
 from .walkreg import is_walk_regular
 from .frames import build_lg_frame, canonical_dual, dual_family_member, spark, spark_via_components
 from .erasure import (
+    DR_GUARD,
     SHIFT_FAMILY_NOTE,
     canonical_verdict,
     d1_fast,
@@ -44,8 +45,10 @@ from .erasure import (
 
 COMMANDS = ("graph-info", "frame-build", "frame-spark", "od-verdict", "od-search", "dr-table")
 
-#: Largest exact subset enumeration a dr-table row may request.
-DR_GUARD = 10**6
+#: Options echoed into the report's ``config``, in order, when the command
+#: takes them and they hold a value.
+_ECHOED = ("seed", "trials", "radius", "emit_vectors", "output_format", "max_r",
+           "shifts_file", "mc_samples")
 
 #: Published schema of the JSON report (draft-07). Sections that do not
 #: apply to a command are omitted entirely, never null.
@@ -160,39 +163,6 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass
-class AnalysisConfig:
-    """Everything a run needs; mirrored verbatim into the report for
-    reproducibility."""
-
-    input_path: str
-    command: str
-    tie_tol: float = 1e-9
-    group_tol: float = 1e-8
-    seed: int = 0
-    trials: int = 1000
-    radius: float = 0.01
-    emit_vectors: bool = False
-    output_format: str = "json"
-    max_r: int = 3
-    shifts_file: Optional[str] = None
-    mc_samples: Optional[int] = None
-
-    def validate(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        for name in ("tie_tol", "group_tol", "radius"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name.replace('_', '-')} must be positive")
-        for name in ("trials", "max_r"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name.replace('_', '-')} must be at least 1")
-        if self.mc_samples is not None and self.mc_samples < 1:
-            raise ValueError("mc-samples must be at least 1")
-
-
 def _fmt_float(x) -> str:
     value = float(x)
     if not np.isfinite(value):
@@ -234,7 +204,7 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _graph_section(g, config: AnalysisConfig, with_walk: bool) -> dict:
+def _graph_section(g, with_walk: bool) -> dict:
     section = {
         "n": g.n,
         "m": g.m,
@@ -246,7 +216,7 @@ def _graph_section(g, config: AnalysisConfig, with_walk: bool) -> dict:
     if with_walk:
         spectrum = eigh_symmetric(laplacian_matrix(g))
         section["laplacian_spectrum"] = [float(v) for v in spectrum.eigenvalues]
-        certified = is_walk_regular(g, config.group_tol)
+        certified = is_walk_regular(g)
         walk = {
             "is_walk_regular": certified.is_walk_regular,
             "distinct_nonzero_eigenvalues": certified.distinct_nonzero_eigenvalue_count,
@@ -258,43 +228,36 @@ def _graph_section(g, config: AnalysisConfig, with_walk: bool) -> dict:
     return section
 
 
-def _frame_section(bundle, config: AnalysisConfig) -> dict:
+def _frame_section(bundle, emit_vectors: bool) -> dict:
     frame = bundle.frame
-    lap = laplacian_matrix(bundle.graph)
     section = {
         "dim": frame.dim,
         "count": frame.count,
-        "gramian_residual": float(np.abs(frame.gramian - lap).max()),
+        "gramian_residual": bundle.gramian_residual,
         "frame_operator_diag": [float(v) for v in np.diag(frame.frame_operator)],
         "norms_squared": [float(v) for v in np.diag(frame.gramian)],
     }
-    if config.emit_vectors:
+    if emit_vectors:
         section["vectors"] = [[float(x) for x in column] for column in frame.synthesis.T]
         section["basis_dependent"] = True
     return section
 
 
-def _spark_section(bundle, g, config: AnalysisConfig) -> dict:
+def _spark_section(bundle, g) -> dict:
     component_minimum = spark_via_components(g)
+    section = {"value": component_minimum, "full_spark": component_minimum == bundle.frame.dim + 1}
     try:
         brute = spark(bundle.frame)
-        return {
-            "value": component_minimum,
-            "full_spark": component_minimum == bundle.frame.dim + 1,
-            "method_agreement": brute == component_minimum,
-            "brute_force": brute,
-            "component_minimum": component_minimum,
-        }
     except EnumerationGuardError:
-        return {
-            "value": component_minimum,
-            "full_spark": component_minimum == bundle.frame.dim + 1,
-            "brute_force": "skipped (enumeration guard)",
-            "component_minimum": component_minimum,
-        }
+        section["brute_force"] = "skipped (enumeration guard)"
+    else:
+        section["method_agreement"] = brute == component_minimum
+        section["brute_force"] = brute
+    section["component_minimum"] = component_minimum
+    return section
 
 
-def _erasure_section(report, config: AnalysisConfig, include_search: bool) -> dict:
+def _erasure_section(report) -> dict:
     section = {
         "d1_canonical": report.d1_canonical,
         "per_vertex_products": [float(v) for v in report.per_vertex_products],
@@ -303,7 +266,7 @@ def _erasure_section(report, config: AnalysisConfig, include_search: bool) -> di
         "verdict": report.verdict,
         "verdict_basis": report.verdict_basis,
     }
-    if include_search and report.search_best is not None:
+    if report.search_best is not None:
         best = report.search_best
         section["search_best"] = {
             "d1": best.d1,
@@ -315,10 +278,8 @@ def _erasure_section(report, config: AnalysisConfig, include_search: bool) -> di
     return section
 
 
-def _load_shifts(bundle, config: AnalysisConfig):
-    if config.shifts_file is None:
-        return None
-    raw = json.loads(Path(config.shifts_file).read_text(encoding="utf-8"))
+def _load_shifts(bundle, path: str):
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         shifts = np.asarray(raw, dtype=float)
     except TypeError as exc:
@@ -326,91 +287,71 @@ def _load_shifts(bundle, config: AnalysisConfig):
     return dual_family_member(bundle, shifts)
 
 
-def _dr_rows(frame, dual, config: AnalysisConfig) -> list:
+def _dr_rows(frame, dual, args) -> list:
     n = frame.count
-    r_values = range(1, min(config.max_r, n - 1) + 1)
-    if config.mc_samples is None:
+    r_values = range(1, min(args.max_r, n - 1) + 1)
+    if args.mc_samples is None:
         worst = max((math.comb(n, r) for r in r_values), default=0)
         if worst > DR_GUARD:
             raise EnumerationGuardError(
-                f"dr-table up to r={config.max_r} needs {worst} subsets in one row "
+                f"dr-table up to r={args.max_r} needs {worst} subsets in one row "
                 f"(guard {DR_GUARD}); pass --mc-samples for sampled lower bounds"
             )
     rows = []
     for r in r_values:
         exact = True
         if math.comb(n, r) > DR_GUARD:
-            value, subset = d_r_lower_bound(frame, dual, r, config.mc_samples, config.seed)
+            value, subset = d_r_lower_bound(frame, dual, r, args.mc_samples, args.seed)
             exact = False
         else:
             value, subset = d_r(frame, dual, r, guard=DR_GUARD)
         row = {"r": r, "value": value, "max_subset": [v + 1 for v in subset]}
         if not exact:
             row["lower_bound"] = True
-            row["samples"] = config.mc_samples
+            row["samples"] = args.mc_samples
         rows.append(row)
     return rows
 
 
-def build_report(config: AnalysisConfig) -> dict:
-    """Run one command and assemble the report dictionary."""
-    config.validate()
-    text = Path(config.input_path).read_text(encoding="utf-8")
+def build_report(args: argparse.Namespace) -> dict:
+    """Run one parsed command (see :func:`_build_parser`) and assemble the
+    report dictionary."""
+    text = Path(args.input).read_text(encoding="utf-8")
     g = parse_edge_list(text)
-    echo = {
-        "tie_tol": config.tie_tol,
-        "group_tol": config.group_tol,
-        "seed": config.seed,
-        "trials": config.trials,
-        "radius": config.radius,
-        "emit_vectors": config.emit_vectors,
-        "output_format": config.output_format,
-    }
-    if config.command == "dr-table":
-        echo["max_r"] = config.max_r
-        if config.mc_samples is not None:
-            echo["mc_samples"] = config.mc_samples
     report = {
         "tool_version": __version__,
-        "command": config.command,
-        "input": config.input_path,
-        "config": echo,
+        "command": args.command,
+        "input": args.input,
+        "config": {key: getattr(args, key) for key in _ECHOED if getattr(args, key, None) is not None},
     }
 
-    if config.command == "graph-info":
-        report["graph"] = _graph_section(g, config, with_walk=True)
+    if args.command == "graph-info":
+        report["graph"] = _graph_section(g, with_walk=True)
         return report
 
-    report["graph"] = _graph_section(g, config, with_walk=False)
+    report["graph"] = _graph_section(g, with_walk=False)
     bundle = build_lg_frame(g)
-    report["frame"] = _frame_section(bundle, config)
+    report["frame"] = _frame_section(bundle, args.emit_vectors)
 
-    if config.command == "frame-build":
+    if args.command == "frame-build":
         return report
-    if config.command == "frame-spark":
-        report["spark"] = _spark_section(bundle, g, config)
+    if args.command == "frame-spark":
+        report["spark"] = _spark_section(bundle, g)
         return report
-    if config.command in ("od-verdict", "od-search"):
-        verdict = canonical_verdict(
-            bundle,
-            trials=config.trials,
-            radius=config.radius,
-            seed=config.seed,
-            tie_tol=config.tie_tol,
-            group_tol=config.group_tol,
-        )
-        if config.command == "od-search" and verdict.search_best is None:
-            search = perturbation_search(bundle, config.trials, config.radius, config.seed)
+    if args.command in ("od-verdict", "od-search"):
+        verdict = canonical_verdict(bundle, trials=args.trials, radius=args.radius, seed=args.seed)
+        if args.command == "od-search" and verdict.search_best is None:
+            search = perturbation_search(bundle, args.trials, args.radius, args.seed)
             verdict = replace(verdict, search_best=search)
-        report["erasure"] = _erasure_section(verdict, config, include_search=True)
+        report["erasure"] = _erasure_section(verdict)
         return report
 
     # dr-table
     canonical = canonical_dual(bundle)
-    table = {"canonical": _dr_rows(bundle.frame, canonical, config)}
-    custom = _load_shifts(bundle, config)
-    if custom is not None:
-        table["custom"] = _dr_rows(bundle.frame, custom, config)
+    table = {"canonical": _dr_rows(bundle.frame, canonical, args)}
+    if args.shifts_file is not None:
+        custom = _load_shifts(bundle, args.shifts_file)
+        table["custom"] = _dr_rows(bundle.frame, custom, args)
     d1_value, _ = d1_fast(bundle.frame, canonical)
     report["erasure"] = {"d1_canonical": d1_value, "dr_table": table}
     return report
@@ -512,13 +453,13 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: AnalysisConfig, stream=None) -> int:
-    """Execute a configured command, writing the report to ``stream``."""
+def run(args: argparse.Namespace, stream=None) -> int:
+    """Execute a parsed command, writing the report to ``stream``."""
     stream = stream if stream is not None else sys.stdout
-    report = build_report(config)
-    if config.output_format == "json":
+    report = build_report(args)
+    if args.output_format == "json":
         stream.write(render_json(report) + "\n")
-    elif config.output_format == "csv":
+    elif args.output_format == "csv":
         stream.write(_render_csv(report))
     else:
         stream.write(_render_text(report))
@@ -531,7 +472,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse ``type`` that converts, then rejects values outside ``rule``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+_AT_LEAST_ONE = _checked(int, lambda value: value >= 1, "at least 1")
+_POSITIVE_FINITE = _checked(float, lambda value: value > 0 and math.isfinite(value), "positive and finite")
+
+
 def _build_parser() -> _Parser:
+    """One subparser per command, each taking only the options it reads."""
     parser = _Parser(prog="gframes",
                      description="Frames generated by graph Laplacians: spectra, spark, "
                                  "and erasure-optimality diagnostics.")
@@ -550,22 +509,23 @@ def _build_parser() -> _Parser:
         cmd.add_argument("input", help="edge-list file")
         cmd.add_argument("--format", choices=("json", "csv", "text"), default="json",
                          dest="output_format", help="output format (default json)")
-        cmd.add_argument("--tie-tol", type=float, default=1e-9,
-                         help="relative tolerance for product ties (default 1e-9)")
-        cmd.add_argument("--group-tol", type=float, default=1e-8,
-                         help="relative tolerance for eigenvalue multiplicity grouping (default 1e-8)")
-        cmd.add_argument("--seed", type=int, default=0, help="search/sampling seed (default 0)")
-        cmd.add_argument("--trials", type=int, default=1000,
-                         help="dual-family search trials (default 1000)")
-        cmd.add_argument("--radius", type=float, default=0.01,
-                         help="dual-family sampling radius (default 0.01)")
+        if name == "graph-info":
+            continue
         cmd.add_argument("--emit-vectors", action="store_true",
                          help="include raw frame vectors (basis-dependent) in the frame section")
+        if name in ("od-verdict", "od-search", "dr-table"):
+            cmd.add_argument("--seed", type=int, default=0, help="search/sampling seed (default 0)")
+        if name in ("od-verdict", "od-search"):
+            cmd.add_argument("--trials", type=_AT_LEAST_ONE, default=1000,
+                             help="dual-family search trials (default 1000)")
+            cmd.add_argument("--radius", type=_POSITIVE_FINITE, default=0.01,
+                             help="dual-family sampling radius (default 0.01)")
         if name == "dr-table":
-            cmd.add_argument("--max-r", type=int, default=3, help="largest erasure size R (default 3)")
+            cmd.add_argument("--max-r", type=_AT_LEAST_ONE, default=3,
+                             help="largest erasure size R (default 3)")
             cmd.add_argument("--shifts-file", default=None,
                              help="JSON file with one shift vector per component; adds a 'custom' dual")
-            cmd.add_argument("--mc-samples", type=int, default=None,
+            cmd.add_argument("--mc-samples", type=_AT_LEAST_ONE, default=None,
                              help="Monte-Carlo sample count for rows whose enumeration exceeds the "
                                   "guard; values are lower bounds and labeled as such")
     return parser
@@ -576,22 +536,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = AnalysisConfig(
-        input_path=args.input,
-        command=args.command,
-        tie_tol=args.tie_tol,
-        group_tol=args.group_tol,
-        seed=args.seed,
-        trials=args.trials,
-        radius=args.radius,
-        emit_vectors=args.emit_vectors,
-        output_format=args.output_format,
-        max_r=getattr(args, "max_r", 3),
-        shifts_file=getattr(args, "shifts_file", None),
-        mc_samples=getattr(args, "mc_samples", None),
-    )
     try:
-        return run(config)
+        return run(args)
     except EnumerationGuardError as exc:
         print(f"gframes: enumeration guard exceeded: {exc}", file=sys.stderr)
         return 3

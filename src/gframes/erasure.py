@@ -42,6 +42,8 @@ _IMPROVEMENT_TOL = 1e-9
 
 #: Relative distance from the maximum within which norms count as tied.
 _TIE_TOL = 1e-9
+#: Largest exhaustive subset enumeration :func:`d_r` runs by default.
+DR_GUARD = 10**6
 #: Subsets evaluated per batch of stacked r×r Gramian blocks.
 _CHUNK = 4096
 
@@ -144,7 +146,7 @@ def _check_r(frame: Frame, r) -> None:
         raise ValueError(f"need 1 <= r < {frame.count}, got {r!r}")
 
 
-def d_r(frame: Frame, dual, r: int, guard: int = 10**6) -> tuple:
+def d_r(frame: Frame, dual, r: int, guard: int = DR_GUARD) -> tuple:
     """Exhaustive D^r: the largest error-operator norm over all r-subsets.
 
     Returns ``(value, subset)``: the maximum, from one r×r eigenproblem on
@@ -185,29 +187,30 @@ def canonical_products(bundle: GraphFrameBundle) -> np.ndarray:
     return np.linalg.norm(b, axis=0) * np.linalg.norm(bundle.canonical, axis=0)
 
 
-def lambda1_set(bundle: GraphFrameBundle, tie_tol: float = _TIE_TOL) -> tuple:
+def lambda1_set(bundle: GraphFrameBundle) -> tuple:
     """Sorted vertices whose canonical product attains the maximum, with
-    products within a relative ``tie_tol`` counted as tied."""
+    products within a relative 1e-9 of it counted as tied (the tie rule of
+    :func:`d_r`)."""
     products = canonical_products(bundle)
     top = float(products.max())
-    return tuple(int(v) for v in np.flatnonzero(products >= top * (1.0 - tie_tol)))
+    return tuple(int(v) for v in np.flatnonzero(products >= top * (1.0 - _TIE_TOL)))
 
 
-def constancy_certificate(bundle: GraphFrameBundle, tol: float = _TIE_TOL) -> ConstancyCertificate:
-    """Whether the canonical products are constant across vertices."""
+def constancy_certificate(bundle: GraphFrameBundle) -> ConstancyCertificate:
+    """Whether the canonical products are constant across vertices: their
+    spread is at most 1e-9 times ``max(1, largest product)``."""
     products = canonical_products(bundle)
     spread = float(products.max() - products.min())
-    return ConstancyCertificate(spread <= tol * max(1.0, float(products.max())), spread)
+    return ConstancyCertificate(spread <= _TIE_TOL * max(1.0, float(products.max())), spread)
 
 
-def non_optimality_witness(bundle: GraphFrameBundle, tie_tol: float = _TIE_TOL,
-                           rank_tol: float = 1e-8) -> Optional[NonOptimalityWitness]:
+def non_optimality_witness(bundle: GraphFrameBundle) -> Optional[NonOptimalityWitness]:
     """Witness that the canonical dual is not optimal for one erasure, or
     ``None`` when the argmax vectors are dependent and no such certificate
     exists down this route."""
-    vertices = lambda1_set(bundle, tie_tol)
+    vertices = lambda1_set(bundle)
     sub = bundle.frame.synthesis[:, list(vertices)]
-    if numerical_rank(sub, rank_tol) < len(vertices):
+    if numerical_rank(sub) < len(vertices):
         return None
     coefficients = np.ones(bundle.frame.count)
     residual = float(np.abs(bundle.frame.synthesis @ coefficients).max())
@@ -264,8 +267,8 @@ def perturbation_search(bundle: GraphFrameBundle, trials: int = 1000,
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     k = bundle.frame.dim
     m = bundle.component_count
     comp = bundle.column_component
@@ -532,8 +535,7 @@ def _minimax_descent(bundle, x, radius, iterations: int = 300):
 
 
 def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: float = 0.01,
-                      seed: int = 0, tie_tol: float = _TIE_TOL,
-                      group_tol: float = 1e-8) -> ErasureReport:
+                      seed: int = 0) -> ErasureReport:
     """Optimality verdict for the canonical dual, first certificate wins:
 
     1. walk-regular graph — unique optimal dual for any number of erasures;
@@ -545,11 +547,13 @@ def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: floa
        some component avoids the argmax set entirely);
     5. otherwise inconclusive; the report carries the best dual a seeded
        search of the shift family could find.
+
+    Products within a relative 1e-9 tie; eigenvalues group within 1e-8.
     """
     products = canonical_products(bundle)
     d1 = float(products.max())
-    lam1 = lambda1_set(bundle, tie_tol)
-    certificate = constancy_certificate(bundle, tie_tol)
+    lam1 = lambda1_set(bundle)
+    certificate = constancy_certificate(bundle)
     report = dict(
         d1_canonical=d1,
         per_vertex_products=products,
@@ -558,7 +562,7 @@ def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: floa
         search_best=None,
     )
 
-    if is_walk_regular(bundle.graph, group_tol).is_walk_regular:
+    if is_walk_regular(bundle.graph).is_walk_regular:
         basis = {"certificate": "walk_regular_graph", "uniqueness": "unique"}
         return ErasureReport(verdict=VERDICT_UNIQUE_ALL, verdict_basis=basis, **report)
 
@@ -571,7 +575,7 @@ def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: floa
         return ErasureReport(verdict=VERDICT_UNIQUE_ALL, verdict_basis=basis, **report)
 
     if bundle.graph.is_connected:
-        witness = non_optimality_witness(bundle, tie_tol)
+        witness = non_optimality_witness(bundle)
         if witness is None:
             raise RuntimeError(
                 "connected graph with non-constant products must yield a witness; this is a bug"
@@ -588,7 +592,7 @@ def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: floa
         if lam1_vertices.isdisjoint(members):
             continue
         sub = _component_subgraph(bundle.graph, members)
-        if not is_walk_regular(sub, group_tol).is_walk_regular:
+        if not is_walk_regular(sub).is_walk_regular:
             continue
         basis = {"certificate": "walk_regular_component_attains_max", "component": c}
         tie = _tie_dual(bundle, lam1_vertices)

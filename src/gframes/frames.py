@@ -90,12 +90,15 @@ class GraphFrameBundle:
     """A graph and the frame it generates; frame column ``v`` is vertex ``v``.
 
     ``eigenvalues`` holds the ``k`` nonzero Laplacian eigenvalues in
-    descending order, which are the diagonal of the frame operator.
+    descending order, which are the diagonal of the frame operator;
+    ``gramian_residual`` is the largest entry of ``|FᵀF − L|``, measured
+    when the frame was built.
     """
 
     graph: Graph
     frame: Frame
     eigenvalues: np.ndarray
+    gramian_residual: float
 
     @property
     def component_count(self) -> int:
@@ -163,7 +166,7 @@ def build_lg_frame(g: Graph) -> GraphFrameBundle:
             f"frame construction missed its tolerances (gramian {gram_err:.2e}, "
             f"norms {norm_err:.2e}, operator {max(s_off, s_diag_err):.2e})"
         )
-    return GraphFrameBundle(g, frame, eigenvalues)
+    return GraphFrameBundle(g, frame, eigenvalues, gram_err)
 
 
 def canonical_dual(bundle: GraphFrameBundle) -> np.ndarray:

@@ -38,14 +38,14 @@ class WalkRegularityReport:
     first_violation: Optional[tuple]
 
 
-def distinct_nonzero_eigenvalue_count(spectrum: SymmetricSpectrum, group_tol: float = 1e-8) -> int:
+def distinct_nonzero_eigenvalue_count(spectrum: SymmetricSpectrum) -> int:
     """Count distinct nonzero eigenvalues, grouping multiplicities within
-    ``group_tol * max |eigenvalue|``."""
+    1e-8 times the largest eigenvalue magnitude."""
     vals = spectrum.eigenvalues
     scale = float(np.abs(vals).max()) if vals.size else 0.0
     if scale == 0.0:
         return 0
-    gap = group_tol * scale
+    gap = 1e-8 * scale
     reps = [float(vals[0])]
     for v in vals[1:]:
         if reps[-1] - float(v) > gap:
@@ -75,12 +75,13 @@ def _first_violation(checked_powers) -> Optional[tuple]:
     return None
 
 
-def is_walk_regular(g: Graph, group_tol: float = 1e-8) -> WalkRegularityReport:
+def is_walk_regular(g: Graph) -> WalkRegularityReport:
     """Certify walk-regularity from the bounded criterion: the closed-walk
     census only needs the powers 1..k, with k the number of distinct
-    nonzero adjacency eigenvalues."""
+    nonzero adjacency eigenvalues, grouped within 1e-8 times the largest
+    eigenvalue magnitude (:func:`distinct_nonzero_eigenvalue_count`)."""
     spectrum = eigh_symmetric(adjacency_matrix(g))
-    k = distinct_nonzero_eigenvalue_count(spectrum, group_tol)
+    k = distinct_nonzero_eigenvalue_count(spectrum)
     checked = _census(g, k) if k else ()
     violation = _first_violation(checked)
     return WalkRegularityReport(violation is None, k, checked, violation)

@@ -13,6 +13,31 @@ from _oracles import edge_list_text, fixture_path, random_connected_graph, run_c
 
 SQRT10_OVER_4 = np.sqrt(10.0) / 4.0
 
+#: The options each command takes, and nothing else.
+OPTIONS = {
+    "graph-info": ("--format",),
+    "frame-build": ("--format", "--emit-vectors"),
+    "frame-spark": ("--format", "--emit-vectors"),
+    "od-verdict": ("--format", "--emit-vectors", "--seed", "--trials", "--radius"),
+    "od-search": ("--format", "--emit-vectors", "--seed", "--trials", "--radius"),
+    "dr-table": ("--format", "--emit-vectors", "--seed", "--max-r", "--shifts-file", "--mc-samples"),
+}
+#: A valid value for every option some command takes, and for the removed
+#: tolerance flags; ``None`` marks a switch.
+OPTION_VALUES = {
+    "--format": "text", "--emit-vectors": None, "--seed": "5", "--trials": "7",
+    "--radius": "0.5", "--max-r": "2", "--shifts-file": "shifts.json", "--mc-samples": "5",
+    "--tie-tol": "0.5", "--group-tol": "1",
+}
+#: The ``config`` key each option is echoed under.
+CONFIG_KEYS = {
+    "--format": "output_format", "--emit-vectors": "emit_vectors", "--seed": "seed",
+    "--trials": "trials", "--radius": "radius", "--max-r": "max_r",
+    "--shifts-file": "shifts_file", "--mc-samples": "mc_samples",
+}
+#: Options without a default, echoed only when given.
+NO_DEFAULT = ("--shifts-file", "--mc-samples")
+
 
 class TestExitCodes:
     def test_success(self):
@@ -65,6 +90,34 @@ class TestExitCodes:
         # the zero-eigenvalue count is the component count; no flag sets it
         code, out, err = run_cli([command, fixture_path("path3"), "--zero-tol", "1e-9"])
         assert code == 1 and out == "" and "--zero-tol" in err
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in COMMANDS for flag in OPTION_VALUES
+        if flag not in OPTIONS[command]
+    ])
+    def test_option_not_taken_is_rejected(self, command, flag):
+        # among them graph-info --group-tol 1, which called cubic8 walk-regular,
+        # and od-verdict --tie-tol 0.5, which certified a NOT_OD graph
+        value = OPTION_VALUES[flag]
+        argv = [command, fixture_path("figure2"), flag] + ([] if value is None else [value])
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == "" and flag in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("od-verdict", "--trials"), ("od-search", "--trials"), ("od-verdict", "--radius"),
+        ("od-search", "--radius"), ("dr-table", "--max-r"), ("dr-table", "--mc-samples"),
+    ])
+    def test_out_of_range_value_is_rejected(self, command, flag):
+        code, out, err = run_cli([command, fixture_path("k3"), flag, "0"])
+        assert code == 1 and out == "" and flag in err
+
+    @pytest.mark.parametrize("command", ["od-verdict", "od-search"])
+    @pytest.mark.parametrize("radius", ["inf", "nan", "-0.01"])
+    def test_radius_must_be_positive_and_finite(self, command, radius):
+        # rejected while parsing: the input is never read, so no numpy warning
+        code, out, err = run_cli([command, "no/such/file.edges", "--radius", radius])
+        assert code == 1 and out == "" and "--radius" in err
+        assert "RuntimeWarning" not in err and "no/such/file" not in err
 
     @pytest.mark.parametrize("command,routine", [("dr-table", "eigvals"), ("frame-spark", "svd")])
     def test_lapack_failure_is_numerical(self, monkeypatch, command, routine):
@@ -213,11 +266,32 @@ class TestJsonReports:
         assert "null" not in out
 
     def test_config_echoed(self):
-        _, out, _ = run_cli(["od-verdict", fixture_path("k3"), "--tie-tol", "1e-10", "--seed", "5"])
+        _, out, _ = run_cli(["od-verdict", fixture_path("k3"), "--seed", "5", "--trials", "7"])
         config = json.loads(out)["config"]
-        assert config["tie_tol"] == 1e-10
         assert config["seed"] == 5
+        assert config["trials"] == 7
         assert "zero_tol" not in config
+        assert "tie_tol" not in config and "group_tol" not in config
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_keys_of_default_run(self, command):
+        code, out, _ = run_cli([command, fixture_path("figure2")])
+        assert code == 0
+        expected = [CONFIG_KEYS[flag] for flag in OPTIONS[command] if flag not in NO_DEFAULT]
+        assert sorted(json.loads(out)["config"]) == sorted(expected)
+
+    def test_config_records_shifts_file(self, tmp_path):
+        shifts = tmp_path / "shifts.json"
+        shifts.write_text("[[0.001, -0.001, 0, 0, 0, 0, 0]]")
+        code, out, _ = run_cli([
+            "dr-table", fixture_path("figure2"), "--max-r", "1", "--shifts-file", shifts,
+            "--mc-samples", "5",
+        ])
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["shifts_file"] == str(shifts)
+        assert list(config) == [
+            "seed", "emit_vectors", "output_format", "max_r", "shifts_file", "mc_samples"]
 
     def test_floats_have_at_most_12_significant_digits(self):
         _, out, _ = run_cli(["od-verdict", fixture_path("figure2")])
@@ -240,8 +314,9 @@ class TestDeterminism:
         ("dr-table", "c4"),
     ])
     def test_byte_identical_reruns(self, command, name):
-        first = run_cli([command, fixture_path(name), "--trials", "200"])
-        second = run_cli([command, fixture_path(name), "--trials", "200"])
+        trials = ["--trials", "200"] if command in ("od-verdict", "od-search") else []
+        first = run_cli([command, fixture_path(name), *trials])
+        second = run_cli([command, fixture_path(name), *trials])
         assert first == second
         assert first[0] == 0
 

@@ -380,6 +380,8 @@ class TestPerturbationSearch:
             perturbation_search(b, trials=0)
         with pytest.raises(ValueError):
             perturbation_search(b, radius=0.0)
+        with pytest.raises(ValueError):
+            perturbation_search(b, radius=float("inf"))
 
 
 def probe_bundles():
