@@ -260,10 +260,11 @@ def perturbation_search(bundle: GraphFrameBundle, trials: int = 1000,
     Every stage works in closed form from per-vertex quadratics instead of
     rebuilding the dual: a sample's value expands ``w_i²|a_i + s_c|²``
     with one product per component, so sampling needs O(trials·n) memory;
-    each coordinate moves to the exact minimiser of its probe on a bracket
-    of the given radius; the descent direction is Wolfe's exact
-    minimum-norm point. The reported ``d1`` is recomputed from the full
-    dual of the returned shifts.
+    the descent direction is Wolfe's exact minimum-norm point; and both
+    descents step to the exact minimiser of their probe, an upper envelope
+    of parabolas, on a bracket of the given radius (one kernel,
+    :func:`_envelope_minimiser`). The reported ``d1`` is recomputed from
+    the full dual of the returned shifts.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -337,48 +338,35 @@ class _ShiftState:
         self.sq = [(h * h).sum(axis=0) for h in self.h]
         self.top = [float((w * q).max()) for w, q in zip(self.w2, self.sq)]
 
+    def _outside(self, c: int) -> float:
+        """``out²``: the largest squared value over the components other than ``c``."""
+        return max((top for j, top in enumerate(self.top) if j != c), default=0.0)
+
     def coordinate_probe(self, c: int, d: int):
         """The squared objective with ``x[c, d]`` set to ``t``, as a function
         of ``t``: only row ``d`` of component ``c``'s columns changes, so it
         is ``max(out², max_i w_i²(sq_i − h_di² + (a0_di + t)²))``, with
         ``out²`` the largest value over the other components."""
-        out2 = max((top for j, top in enumerate(self.top) if j != c), default=0.0)
+        out2 = self._outside(c)
         w2, a = self.w2[c], self.a0[c][d]
         rest = self.sq[c] - self.h[c][d] ** 2
         return lambda t: max(out2, (w2 * (rest + (a + t) ** 2)).max())
 
-    def coordinate_minimiser(self, c: int, d: int, radius: float) -> float:
-        """The exact minimiser of ``coordinate_probe(c, d)`` on the bracket
-        ``[x − radius, x + radius]`` around ``x = x[c, d]``.
+    def coordinate_minimiser(self, c: int, d: int, radius: float) -> tuple:
+        """The exact minimiser ``t`` of ``coordinate_probe(c, d)`` on the
+        bracket ``[x − radius, x + radius]`` around ``x = x[c, d]``, and the
+        probe's value there: ``(t, value)``.
 
-        With ``t = x + s`` column ``i`` is the parabola ``p_i(s) =
-        w_i²(sq_i + 2h_di·s + s²)``, and the component's value is their
-        maximum, a convex function. Its minimum lies at a bracket end, at a
-        parabola's vertex ``s = −h_di`` or where two parabolas cross, and all
-        of these are evaluated at once. A parabola whose largest value on the
-        bracket is below the largest of their smallest values is never the
-        maximum there, so it is dropped before the pairs are formed. Where
-        ``out²`` dominates, every point of its plateau minimises the probe;
-        the one returned also minimises the component's own maximum.
+        With ``t = x + s`` column ``i`` is the parabola ``w_i²(sq_i +
+        2h_di·s + s²)``, whose upper envelope :func:`_envelope_minimiser`
+        minimises. Where ``out²`` dominates, every point of its plateau
+        minimises the probe; the one returned also minimises the
+        component's own maximum.
         """
-        w2, a, h, sq = self.w2[c], self.a0[c][d], self.h[c][d], self.sq[c]
-        lowest = np.clip(-h, -radius, radius)
-        floor = (w2 * (sq + lowest * (2.0 * h + lowest))).max()
-        keep = w2 * (sq + radius * (radius + 2.0 * np.abs(h))) >= floor
-        w2, a, h, sq = w2[keep], a[keep], h[keep], sq[keep]
-        i, j = np.triu_indices(len(w2), 1)
-        quad = w2[i] - w2[j]
-        half = w2[i] * h[i] - w2[j] * h[j]
-        const = w2[i] * sq[i] - w2[j] * sq[j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = half + np.copysign(np.sqrt(half * half - quad * const), half)
-            crossings = np.concatenate((-root / quad, -const / root))
-        s = np.concatenate(([-radius, radius], -h, crossings))
-        s = np.clip(s[np.isfinite(s)], -radius, radius)
-        t = self.x[c, d] + s
-        rest = sq - h * h
-        values = (w2 * (rest + (a + t[:, None]) ** 2)).max(axis=1)
-        return float(t[np.argmin(values)])
+        w2 = self.w2[c]
+        s, own = _envelope_minimiser(w2 * self.sq[c], 2.0 * w2 * self.h[c][d], w2,
+                                     -radius, radius)
+        return self.x[c, d] + s, max(self._outside(c), own)
 
     def move(self, c: int, d: int, t: float) -> None:
         """Set ``x[c, d] = t``, updating only component ``c``'s columns."""
@@ -389,15 +377,71 @@ class _ShiftState:
         self.top[c] = float((self.w2[c] * self.sq[c]).max())
 
 
-def _line_probe(h: np.ndarray, w2: np.ndarray, u: np.ndarray):
-    """The squared objective along the dual ``h + t·u`` as a function of
-    ``t``: column ``i`` contributes ``w_i²|h_i + t·u_i|² = α_i + 2tβ_i +
-    t²γ_i``, the per-component weighted 1-center form, so each probe is one
-    O(n) expression in the precomputed ``α``, ``β`` and ``γ``."""
+def _line_quadratics(h: np.ndarray, w2: np.ndarray, u: np.ndarray) -> tuple:
+    """The squared objective along the dual ``h + t·u``: column ``i``
+    contributes ``w_i²|h_i + t·u_i|² = α_i + 2tβ_i + t²γ_i``, the
+    per-component weighted 1-center form. Returns ``(α, 2β, γ)``."""
     alpha = w2 * (h * h).sum(axis=0)
     two_beta = 2.0 * w2 * (h * u).sum(axis=0)
     gamma = w2 * (u * u).sum(axis=0)
+    return alpha, two_beta, gamma
+
+
+def _line_probe(h: np.ndarray, w2: np.ndarray, u: np.ndarray):
+    """The squared objective along the dual ``h + t·u`` as a function of
+    ``t``: one O(n) expression in :func:`_line_quadratics`'s coefficients."""
+    alpha, two_beta, gamma = _line_quadratics(h, w2, u)
     return lambda t: (alpha + t * (two_beta + t * gamma)).max()
+
+
+def _envelope_minimiser(c0, c1, c2, lo: float, hi: float) -> tuple:
+    """The exact minimiser on ``[lo, hi]`` of the upper envelope ``max_i
+    c0_i + c1_i·s + c2_i·s²`` of parabolas with ``c2_i ≥ 0`` (lines and
+    constants included), and the minimum: ``(s, value)``.
+
+    The envelope is convex, so its minimum lies at a bracket end, at a
+    parabola's vertex or where two parabolas cross. The envelope never falls
+    below the largest of the parabolas' minima on the bracket, so a parabola
+    whose largest value there (at an end) is below it never reaches the
+    envelope and is dropped. Among the ends and the remaining vertices, in
+    order, those within a relative 1e-9 of the best value count as tied, so
+    neither rounding nor a repeated point picks among them: the minimiser
+    lies between the neighbours of the tied run. No vertex lies between
+    consecutive points, so a minimiser there is a crossing of two parabolas
+    that reach the envelope, and only those crossings are evaluated. A step
+    costs O(q·v) for q parabolas and v vertices, plus the pairs among the
+    few parabolas that reach the envelope between the neighbours.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lowest = np.fmin(np.fmax(-0.5 * c1 / c2, lo), hi)  # lines go to an end, constants to lo
+        floor = (c0 + lowest * (c1 + lowest * c2)).max()
+        ends = np.maximum(c0 + lo * (c1 + lo * c2), c0 + hi * (c1 + hi * c2))
+        keep = ends >= floor
+        c0, c1, c2 = c0[keep], c1[keep], c2[keep]
+        points = np.sort(np.concatenate(([lo, hi], lowest[keep])))
+        grid = c0 + points[:, None] * (c1 + points[:, None] * c2)
+        values = grid.max(axis=1)
+        j = int(np.argmin(values))
+        tied = np.flatnonzero(values <= values[j] + _TIE_TOL * abs(values[j]))
+        left, right = max(tied[0] - 1, 0), min(tied[-1] + 1, len(points) - 1)
+        # monotone between consecutive points: a parabola's extremes on
+        # [left, right] are among its values at the points there
+        near = grid[left:right + 1]
+        reach = np.maximum(near[0], near[-1]) >= near.min(axis=0).max()
+        c0, c1, c2 = c0[reach], c1[reach], c2[reach]
+        quad = np.subtract.outer(c2, c2)
+        half = 0.5 * np.subtract.outer(c1, c1)
+        const = np.subtract.outer(c0, c0)
+        # the two roots of quad·s² + 2·half·s + const, without cancellation
+        root = half + np.copysign(np.sqrt(half * half - quad * const), half)
+        crossings = np.concatenate(((-root / quad).ravel(), (-const / root).ravel()))
+        crossings = crossings[(crossings > points[left]) & (crossings < points[right])]
+    if crossings.size:
+        between = (c0 + crossings[:, None] * (c1 + crossings[:, None] * c2)).max(axis=1)
+        i = int(np.argmin(between))
+        if between[i] < values[j]:
+            return float(crossings[i]), float(between[i])
+    return float(points[j]), float(values[j])
 
 
 def _coordinate_descent(bundle, x, radius, passes: int = 40):
@@ -414,8 +458,7 @@ def _coordinate_descent(bundle, x, radius, passes: int = 40):
                 fx2 = max(state.top)
                 if state.top[c] < fx2:
                     break  # and nothing changes for the rest of c's block
-                t = state.coordinate_minimiser(c, d, radius)
-                fy2 = state.coordinate_probe(c, d)(t)
+                t, fy2 = state.coordinate_minimiser(c, d, radius)
                 if fy2 < fx2:
                     gained += math.sqrt(fx2) - math.sqrt(fy2)
                     state.move(c, d, t)
@@ -487,15 +530,10 @@ def _min_norm_in_hull(points: np.ndarray) -> tuple:
 def _minimax_descent(bundle, x, radius, iterations: int = 300):
     """Steepest descent for the max of the per-vertex products: the descent
     direction is the negated minimum-norm point of the active gradients,
-    and the step is a trisection of the closed-form line probe over
-    ``[0, radius]``.
-
-    The step stays an 80-step trisection rather than the exact minimiser
-    the coordinate step uses. On a convex probe it already ends within
-    ``(2/3)^80·radius`` of that minimiser: an exact step (a bracket end, a
-    vertex or a crossing of two of the quadratics) gave figure2 the same
-    d1, 0.9837378823083094 against 0.9837378823083093, and moved no
-    ``sweep`` corpus search (seeds 1-3) by more than 2.4e-16 relative.
+    and the step moves to the exact minimiser of the closed-form line
+    probe on ``[0, radius]`` (:func:`_envelope_minimiser` on the
+    quadratics of :func:`_line_quadratics`). The descent stops when the
+    direction vanishes or the step no longer lowers the maximum.
     """
     k = bundle.frame.dim
     m = bundle.component_count
@@ -511,24 +549,16 @@ def _minimax_descent(bundle, x, radius, iterations: int = 300):
         top = float(products.max())
         active = np.where(products >= top - 1e-7 * max(1.0, top))[0]
         grads = np.zeros((active.size, m * k))
-        for row, i in enumerate(active):
-            block = int(comp[i]) * k
-            grads[row, block:block + k] = f_norms[i] * h[:, i] / max(h_norms[i], 1e-300)
+        blocks = comp[active][:, None] * k + np.arange(k)
+        grads[np.arange(active.size)[:, None], blocks] = (
+            f_norms[active] * h[:, active] / np.maximum(h_norms[active], 1e-300)).T
         direction, _ = _min_norm_in_hull(grads)
         norm = float(np.linalg.norm(direction))
         if norm <= 1e-12:
             break
         unit = (-direction / norm).reshape(m, k)
-        probe = _line_probe(h, w2, unit[comp].T)
-        lo, hi = 0.0, radius
-        for _ in range(80):
-            third = (hi - lo) / 3.0
-            if probe(lo + third) <= probe(hi - third):
-                hi -= third
-            else:
-                lo += third
-        t = 0.5 * (lo + hi)
-        if math.sqrt(probe(t)) >= top - 1e-15:
+        t, value = _envelope_minimiser(*_line_quadratics(h, w2, unit[comp].T), 0.0, radius)
+        if math.sqrt(value) >= top - 1e-15:
             break
         x = x + t * unit
     return x

@@ -496,6 +496,70 @@ class TestMinNormInHull:
             assert x @ x <= oracle @ oracle + 1e-12 * scale, name
 
 
+class TestEnvelopeMinimiser:
+    """The step kernel of both descents, the exact minimiser of an upper
+    envelope of parabolas, against a 60-step trisection of the envelope."""
+
+    @staticmethod
+    def parabola_sets():
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            q = int(rng.integers(1, 30))
+            radius = float((0.01, 0.05, 0.5, 3.0)[trial % 4])
+            c0 = 1.0 + rng.random(q)
+            c1 = rng.standard_normal(q)
+            c2 = rng.random(q) ** 2
+            kind = rng.integers(0, 4, size=q)
+            c2[kind == 1] = 0.0  # lines, whose lowest points are bracket ends
+            c1[kind == 2] = c2[kind == 2] = 0.0  # constants
+            if trial % 5 == 0:  # vertices shared up to rounding, at different heights
+                shared = kind == 3
+                c1[shared] = -2.0 * c2[shared] * 0.3 * radius
+            yield f"random{trial}", c0, c1, c2, -radius, radius
+        # vertices far outside the bracket: every parabola is monotone on it
+        yield "outside", np.array([1.0, 1.2, 0.9]), np.array([40.0, -30.0, 55.0]), \
+            np.array([1.0, 2.0, 0.5]), -0.1, 0.1
+        # all increasing: the minimum sits at the left end
+        yield "left-end", np.array([1.0, 1.1, 0.8]), np.array([0.5, 0.2, 2.0]), \
+            np.array([0.0, 0.3, 0.0]), 0.0, 0.2
+        # all decreasing lines: the minimum sits at the right end
+        yield "right-end", np.array([1.0, 1.1, 1.3]), np.array([-0.5, -0.2, -2.0]), \
+            np.zeros(3), 0.0, 0.2
+        # two rising lines share the point 0 with the left end; the minimum
+        # is where the falling line meets the steeper one, at 1/6
+        yield "repeated-end", np.array([1.0, 1.0, 1.5]), np.array([1.0, 2.0, -1.0]), \
+            np.zeros(3), 0.0, 1.0
+        # vertices one ulp apart, both below a falling line; the minimum is
+        # where that line meets the first parabola, right of both vertices
+        v, w = 0.1, np.nextafter(0.1, 1.0)
+        yield "adjacent-vertices", np.array([1.0 + 4.0 * v * v, 0.9 + 4.0 * w * w, 1.3]), \
+            np.array([-8.0 * v, -8.0 * w, -1.0]), np.array([4.0, 4.0, 0.0]), -0.5, 0.5
+        yield "single", np.array([2.0]), np.array([-1.0]), np.array([4.0]), -1.0, 1.0
+        yield "constant", np.array([2.0]), np.zeros(1), np.zeros(1), -1.0, 1.0
+
+    def test_no_worse_than_trisection_and_inside_bracket(self):
+        for name, c0, c1, c2, lo, hi in self.parabola_sets():
+            def envelope(t):
+                return float((c0 + t * (c1 + t * c2)).max())
+
+            s, value = erasure._envelope_minimiser(c0, c1, c2, lo, hi)
+            assert lo <= s <= hi, name
+            assert value == envelope(s), name
+            assert value <= envelope(trisect(envelope, lo, hi)) * (1.0 + 1e-12), name
+
+    def test_bracket_ends_and_crossings(self):
+        cases = {name: (c0, c1, c2, lo, hi) for name, c0, c1, c2, lo, hi in self.parabola_sets()}
+        assert erasure._envelope_minimiser(*cases["left-end"]) == (0.0, 1.1)
+        assert erasure._envelope_minimiser(*cases["right-end"])[0] == 0.2
+        s, value = erasure._envelope_minimiser(*cases["repeated-end"])
+        assert (s, value) == pytest.approx((1.0 / 6.0, 4.0 / 3.0), rel=1e-15)
+        s, value = erasure._envelope_minimiser(*cases["adjacent-vertices"])
+        crossing = (math.sqrt(4.2) - 0.2) / 8.0  # root of 4s² + 0.2s − 0.26
+        assert (s, value) == pytest.approx((crossing, 1.3 - crossing), rel=1e-12)
+        assert erasure._envelope_minimiser(*cases["single"]) == (0.125, 1.9375)
+        assert erasure._envelope_minimiser(*cases["constant"]) == (-1.0, 2.0)
+
+
 class TestExactCoordinateStep:
     """The coordinate step's exact minimiser against a 60-step trisection
     of the same closed-form probe."""
@@ -510,8 +574,9 @@ class TestExactCoordinateStep:
                 radius = (0.01, 0.05, 0.5)[step % 3]
                 lo, hi = state.x[c, d] - radius, state.x[c, d] + radius
                 probe = state.coordinate_probe(c, d)
-                t = state.coordinate_minimiser(c, d, radius)
+                t, value = state.coordinate_minimiser(c, d, radius)
                 assert lo <= t <= hi
+                assert value == pytest.approx(probe(t), rel=1e-12)
                 assert probe(t) <= probe(trisect(probe, lo, hi)) * (1.0 + 1e-12)
                 state.move(c, d, t)
 
@@ -536,10 +601,40 @@ class TestExactCoordinateStep:
                 def own(t):  # component 0's own maximum, without out²
                     return float((w2 * (rest + (a + t) ** 2)).max())
 
-                t = state.coordinate_minimiser(0, d, radius)
+                t, value = state.coordinate_minimiser(0, d, radius)
                 assert lo <= t <= hi
-                assert probe(t) == out2
+                assert probe(t) == value == out2
                 assert own(t) <= own(trisect(own, lo, hi)) * (1.0 + 1e-12)
+
+
+class TestExactLineStep:
+    """The descent's exact line step against a 60-step trisection of the
+    same closed-form line probe, along the direction the descent takes."""
+
+    def test_no_worse_than_trisection_and_inside_bracket(self):
+        rng = np.random.default_rng(22)
+        for b in probe_bundles():
+            m, k = b.component_count, b.frame.dim
+            w2 = (b.frame.synthesis ** 2).sum(axis=0)
+            f_norms = np.sqrt(w2)
+            for step in range(6):
+                x = 0.05 * rng.standard_normal((m, k))
+                h = dual_family_member(b, x)
+                products = f_norms * np.linalg.norm(h, axis=0)
+                # a wider band than the descent's, so directions mix gradients
+                active = np.flatnonzero(products >= products.max() * (1.0 - 1e-3))
+                direction, _ = erasure._min_norm_in_hull(gradient_rows(b, x, active))
+                norm = np.linalg.norm(direction)
+                if norm <= 1e-12:
+                    continue
+                unit = (-direction / norm).reshape(m, k)[b.column_component].T
+                radius = (0.01, 0.05, 0.5)[step % 3]
+                probe = erasure._line_probe(h, w2, unit)
+                quadratics = erasure._line_quadratics(h, w2, unit)
+                t, value = erasure._envelope_minimiser(*quadratics, 0.0, radius)
+                assert 0.0 <= t <= radius
+                assert value == probe(t)
+                assert probe(t) <= probe(trisect(probe, 0.0, radius)) * (1.0 + 1e-12)
 
 
 class TestSampleValues:
@@ -574,10 +669,10 @@ class TestSearchQualityPins:
     """The search's d1 and ``improved``, pinned at the best the search has
     given: its values once the coordinate steps and the descent direction
     became exact, or its earlier values where those were lower
-    (connected0, connected2). Closed-form probes change rounding, which may
-    move d1 in its last digits but must not lose quality; a change of
-    descent path (say, exact line minimisation instead of trisection)
-    shows up here."""
+    (connected0, connected2). Closed-form probes and exact steps change
+    rounding, which may move d1 in its last digits but must not lose
+    quality; a change of descent path (say, a different step rule or
+    direction) shows up here."""
 
     PINS = {
         "figure2": (0.9837378823083093, True),
