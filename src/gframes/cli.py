@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -489,8 +490,14 @@ _AT_LEAST_ONE = _checked(int, lambda value: value >= 1, "at least 1")
 _POSITIVE_FINITE = _checked(float, lambda value: value > 0 and math.isfinite(value), "positive and finite")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    """One subparser per command, each taking only the options it reads."""
+    """One subparser per command, each taking only the options it reads.
+
+    Built once per process and only read afterwards: ``parse_args`` returns
+    a fresh namespace on every call, and the parser looks up
+    ``sys.stdout``/``sys.stderr`` only when it prints.
+    """
     parser = _Parser(prog="gframes",
                      description="Frames generated by graph Laplacians: spectra, spark, "
                                  "and erasure-optimality diagnostics.")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import EnumerationGuardError
 from .frames import Frame, GraphFrameBundle, dual_family_member
-from .graphs import Graph
+from .graphs import Graph, is_regular
 from .linalg import numerical_rank
 from .walkreg import is_walk_regular
 
@@ -592,7 +592,9 @@ def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: floa
         search_best=None,
     )
 
-    if is_walk_regular(bundle.graph).is_walk_regular:
+    # walk-regular implies regular (diag A² is the degree sequence), and the
+    # census of an irregular graph fails at power 2, so it is skipped there
+    if is_regular(bundle.graph) is not None and is_walk_regular(bundle.graph).is_walk_regular:
         basis = {"certificate": "walk_regular_graph", "uniqueness": "unique"}
         return ErasureReport(verdict=VERDICT_UNIQUE_ALL, verdict_basis=basis, **report)
 
@@ -622,7 +624,7 @@ def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: floa
         if lam1_vertices.isdisjoint(members):
             continue
         sub = _component_subgraph(bundle.graph, members)
-        if not is_walk_regular(sub).is_walk_regular:
+        if is_regular(sub) is None or not is_walk_regular(sub).is_walk_regular:
             continue
         basis = {"certificate": "walk_regular_component_attains_max", "component": c}
         tie = _tie_dual(bundle, lam1_vertices)

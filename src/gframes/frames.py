@@ -59,9 +59,8 @@ class Frame:
             raise ValueError("synthesis entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "synthesis", arr)
-        spectrum = eigh_symmetric(self.frame_operator)
-        smallest = float(spectrum.eigenvalues[-1])
-        if smallest <= 1e-12 * max(1.0, float(spectrum.eigenvalues[0])):
+        eigenvalues = np.linalg.eigvalsh(self.frame_operator)
+        if eigenvalues[0] <= 1e-12 * max(1.0, float(eigenvalues[-1])):
             raise ValueError("frame vectors do not span: frame operator is singular")
 
     @property

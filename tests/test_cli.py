@@ -1,13 +1,17 @@
 """CLI behavior: exit codes, schema validity, determinism, and formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from jsonschema import validate
 
 from gframes import fixtures, is_regular
-from gframes.cli import COMMANDS, REPORT_SCHEMA
+from gframes.cli import COMMANDS, REPORT_SCHEMA, _build_parser
 
 from _oracles import edge_list_text, fixture_path, random_connected_graph, run_cli
 
@@ -319,6 +323,41 @@ class TestDeterminism:
         second = run_cli([command, fixture_path(name), *trials])
         assert first == second
         assert first[0] == 0
+
+
+def run_cli_fresh(argv) -> tuple:
+    """Invoke the CLI in a new interpreter; returns (exit_code, stdout)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-m", "gframes.cli", *map(str, argv)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    return result.returncode, result.stdout
+
+
+class TestSharedParser:
+    """The parser is built once per process; calls must not see each other."""
+
+    def test_calls_in_one_process_match_fresh_processes(self):
+        path = fixture_path("figure2")
+        sequence = [
+            ["od-search", path, "--no-such-flag"],
+            ["--version"],
+            ["od-search", path, "--seed", "3", "--trials", "50"],
+            ["od-search", path],
+            ["dr-table", path, "--max-r", "2"],
+        ]
+        parser = _build_parser()
+        results = []
+        for argv in sequence:
+            code, out, _ = run_cli(argv)
+            results.append((code, out))
+            assert _build_parser() is parser
+        assert results[0] == (1, "")
+        assert results[1][0] == 0 and results[1][1].startswith("gframes ")
+        assert all(code == 0 for code, _ in results[1:])
+        config = json.loads(results[3][1])["config"]
+        assert (config["seed"], config["trials"]) == (0, 1000)
+        assert results == [run_cli_fresh(argv) for argv in sequence]
 
 
 class TestOtherFormats:

@@ -25,6 +25,8 @@ from gframes import (
     dual_family_member,
     error_operator,
     fixtures,
+    is_regular,
+    is_walk_regular,
     lambda1_set,
     non_optimality_witness,
     perturbation_search,
@@ -336,6 +338,71 @@ class TestVerdicts:
         report = canonical_verdict(b)
         assert np.array_equal(report.per_vertex_products, canonical_products(b))
         assert report.lambda1 == lambda1_set(b)
+
+
+def irregular_graph(rng):
+    while True:
+        g = random_connected_graph(rng, 5, 10)
+        if is_regular(g) is None:
+            return g
+
+
+def irregular_inputs():
+    rng = np.random.default_rng(15)
+    connected = [irregular_graph(rng) for _ in range(4)]
+    split = [disjoint_union(irregular_graph(rng), irregular_graph(rng)) for _ in range(3)]
+    return connected, split
+
+
+@pytest.fixture
+def census_calls(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_walk_regular(g)
+
+    monkeypatch.setattr(erasure, "is_walk_regular", counted)
+    return calls
+
+
+class TestRegularityPrecondition:
+    """Walk-regular graphs are regular (diag A² is the degree sequence), so
+    ``canonical_verdict`` runs the walk census only on regular inputs."""
+
+    def test_irregular_census_fails_at_power_2(self):
+        connected, split = irregular_inputs()
+        for g in connected + split:
+            report = is_walk_regular(g)
+            assert not report.is_walk_regular
+            assert report.first_violation[0] == 2
+            assert [p for p, _ in report.checked_powers] == [1, 2]
+
+    def test_irregular_connected_skips_census(self, census_calls):
+        connected, _ = irregular_inputs()
+        for g in connected:
+            assert canonical_verdict(build_lg_frame(g), trials=20).verdict == VERDICT_NOT_OD
+        assert census_calls == []
+
+    def test_irregular_components_skip_census(self, census_calls):
+        _, split = irregular_inputs()
+        for g in split:
+            report = canonical_verdict(build_lg_frame(g), trials=20)
+            assert report.verdict_basis["certificate"] in ("none", "constant_norm_products")
+        assert census_calls == []
+
+    def test_regular_inputs_still_run_census(self, census_calls):
+        report = canonical_verdict(bundle_of("figure2"))
+        assert report.verdict == VERDICT_NOT_OD
+        assert len(census_calls) == 1
+        census_calls.clear()
+        report = canonical_verdict(bundle_of("petersen"))
+        assert report.verdict_basis["certificate"] == "walk_regular_graph"
+        assert len(census_calls) == 1
+        census_calls.clear()
+        report = canonical_verdict(bundle_of("figure1"))
+        assert report.verdict_basis["certificate"] == "walk_regular_component_attains_max"
+        assert len(census_calls) == 2  # the whole graph, then the C4 that attains the max
 
 
 class TestPerturbationSearch:

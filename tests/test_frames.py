@@ -96,6 +96,28 @@ class TestBuild:
         assert np.array_equal(b.frame.synthesis, contiguous.frame.synthesis[:, list(mapping)])
 
 
+class TestSpanningCheck:
+    """A frame spans when the frame operator's smallest eigenvalue exceeds
+    1e-12·max(1, largest)."""
+
+    @pytest.mark.parametrize("synthesis", [
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]],
+        [[1e3, 0.0], [0.0, 1e-5]],   # eigenvalues 1e6 and 1e-10
+    ])
+    def test_rejects_singular(self, synthesis):
+        with pytest.raises(ValueError, match="do not span"):
+            Frame(np.array(synthesis))
+
+    @pytest.mark.parametrize("synthesis", [
+        [[1.0, 0.0], [0.0, 1e-5]],   # eigenvalues 1 and 1e-10
+        [[1e-3, 0.0], [0.0, 1e-5]],  # the rule's scale is at least 1
+        [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+    ])
+    def test_accepts_spanning(self, synthesis):
+        assert Frame(np.array(synthesis)).dim == 2
+
+
 class TestCanonicalDual:
     def test_k3_scalar_operator(self):
         b = bundle_of("k3")
