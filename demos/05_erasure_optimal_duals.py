@@ -7,8 +7,9 @@ products are constant across vertices; for connected graphs this is
 an equivalence, so the verdict is all-or-nothing. Three stories:
 
 * the triangle is walk-regular: constant products, uniquely optimal;
-* the triangle-plus-4-cycle attains its maximum on a walk-regular
-  component: optimal, but provably not uniquely (a shifted dual ties);
+* the triangle-plus-4-cycle attains its maximum on a component with
+  constant products, the 4-cycle: optimal, since each component minimises
+  its own maximum, but provably not uniquely (a shifted dual ties);
 * the cubic 8-vertex graph is regular but not walk-regular: not optimal,
   and a seeded search of the dual family finds strictly better duals.
 """
@@ -34,7 +35,7 @@ np.set_printoptions(precision=4, suppress=True)
 
 for name in ("k3", "figure1", "figure2"):
     bundle = build_lg_frame(fixtures.FIXTURES[name]())
-    report = canonical_verdict(bundle, seed=0)
+    report = canonical_verdict(bundle)
     print(f"{name}:")
     print(f"  products {np.round(report.per_vertex_products, 6)}")
     print(f"  D^1 = {report.d1_canonical:.9f}, argmax vertices {report.lambda1}")

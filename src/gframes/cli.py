@@ -1,8 +1,10 @@
 """Command-line surface and report emission.
 
 Six commands over an edge-list file: ``graph-info``, ``frame-build``,
-``frame-spark``, ``od-verdict``, ``od-search``, and ``dr-table``, each
-taking only the options it reads; the report's ``config`` echoes them.
+``frame-spark``, ``od-verdict`` (the verdict from certificates alone; it
+never searches), ``od-search`` (the same report plus a seeded search of
+the dual family), and ``dr-table``, each taking only the options it
+reads; the report's ``config`` echoes them.
 Reports are emitted as JSON (the canonical machine format; see
 :data:`REPORT_SCHEMA`), CSV with one row per vertex for per-vertex
 quantities, or plain text. Output is byte-identical for identical input
@@ -23,7 +25,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,8 @@ from .exceptions import ConvergenceError, EdgeListError, EnumerationGuardError
 from .graphs import degree_sequence, is_regular, laplacian_matrix, parse_edge_list
 from .linalg import eigh_symmetric
 from .walkreg import is_walk_regular
-from .frames import build_lg_frame, canonical_dual, dual_family_member, spark, spark_via_components
+from .frames import (Frame, build_lg_frame, canonical_dual, dual_family_member, spark,
+                     spark_via_components)
 from .erasure import (
     DR_GUARD,
     SHIFT_FAMILY_NOTE,
@@ -247,8 +249,13 @@ def _frame_section(bundle, emit_vectors: bool) -> dict:
 def _spark_section(bundle, g) -> dict:
     component_minimum = spark_via_components(g)
     section = {"value": component_minimum, "full_spark": component_minimum == bundle.frame.dim + 1}
+    # columns in component order, as relabel_by_component orders the
+    # vertices: the spark is a size, which no order changes, and in this
+    # order the enumeration does the same work however the components'
+    # labels interleave
+    order = [v for comp in g.components for v in comp]
     try:
-        brute = spark(bundle.frame)
+        brute = spark(Frame(np.take(bundle.frame.synthesis, order, axis=1)))
     except EnumerationGuardError:
         section["brute_force"] = "skipped (enumeration guard)"
     else:
@@ -258,7 +265,7 @@ def _spark_section(bundle, g) -> dict:
     return section
 
 
-def _erasure_section(report) -> dict:
+def _erasure_section(report, search=None) -> dict:
     section = {
         "d1_canonical": report.d1_canonical,
         "per_vertex_products": [float(v) for v in report.per_vertex_products],
@@ -267,12 +274,11 @@ def _erasure_section(report) -> dict:
         "verdict": report.verdict,
         "verdict_basis": report.verdict_basis,
     }
-    if report.search_best is not None:
-        best = report.search_best
+    if search is not None:
         section["search_best"] = {
-            "d1": best.d1,
-            "improved": best.improved,
-            "shifts": [[float(x) for x in row] for row in best.shifts],
+            "d1": search.d1,
+            "improved": search.improved,
+            "shifts": [[float(x) for x in row] for row in search.shifts],
             "basis_dependent": True,
             "family": SHIFT_FAMILY_NOTE,
         }
@@ -340,11 +346,10 @@ def build_report(args: argparse.Namespace) -> dict:
         report["spark"] = _spark_section(bundle, g)
         return report
     if args.command in ("od-verdict", "od-search"):
-        verdict = canonical_verdict(bundle, trials=args.trials, radius=args.radius, seed=args.seed)
-        if args.command == "od-search" and verdict.search_best is None:
+        search = None
+        if args.command == "od-search":
             search = perturbation_search(bundle, args.trials, args.radius, args.seed)
-            verdict = replace(verdict, search_best=search)
-        report["erasure"] = _erasure_section(verdict)
+        report["erasure"] = _erasure_section(canonical_verdict(bundle), search)
         return report
 
     # dr-table
@@ -507,7 +512,7 @@ def _build_parser() -> _Parser:
         "graph-info": "components, degrees, regularity, walk-regularity, Laplacian spectrum",
         "frame-build": "build the frame and report its contract quantities",
         "frame-spark": "spark via brute force and the component-minimum formula",
-        "od-verdict": "canonical-dual erasure diagnostics and optimality verdict",
+        "od-verdict": "canonical-dual erasure diagnostics and optimality verdict (no search)",
         "od-search": "od-verdict plus a seeded search of the dual family",
         "dr-table": "worst-case erasure norms D^r for r = 1..R",
     }
@@ -520,9 +525,9 @@ def _build_parser() -> _Parser:
             continue
         cmd.add_argument("--emit-vectors", action="store_true",
                          help="include raw frame vectors (basis-dependent) in the frame section")
-        if name in ("od-verdict", "od-search", "dr-table"):
+        if name in ("od-search", "dr-table"):
             cmd.add_argument("--seed", type=int, default=0, help="search/sampling seed (default 0)")
-        if name in ("od-verdict", "od-search"):
+        if name == "od-search":
             cmd.add_argument("--trials", type=_AT_LEAST_ONE, default=1000,
                              help="dual-family search trials (default 1000)")
             cmd.add_argument("--radius", type=_POSITIVE_FINITE, default=0.01,

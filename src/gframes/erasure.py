@@ -6,9 +6,12 @@ measures how badly a dual frame can fail under r erasures. For a single
 erasure the norm factorizes, so D^1 is just the largest product
 ``|f_i| * |h_i|``, and the canonical dual is the best dual exactly when
 those products are constant — for connected graphs this is an if and only
-if. The verdict procedure certifies optimality where a certificate exists
-and otherwise searches the dual family (one shift vector per component,
-which exhausts all duals of a graph frame) for something strictly better.
+if. Each component minimises its own maximum, so a disconnected graph's
+canonical dual is optimal for one erasure when a component that attains
+the maximum has constant products. The verdict is decided by such
+certificates alone and never searches; :func:`perturbation_search`
+separately searches the dual family (one shift vector per component, which
+exhausts all duals of a graph frame) for something strictly better.
 
 Every function here takes a dual as a plain ``k x n`` matrix whose column
 ``i`` is ``h_i``; the canonical dual's is ``GraphFrameBundle.canonical``.
@@ -25,7 +28,7 @@ import numpy as np
 
 from .exceptions import EnumerationGuardError
 from .frames import Frame, GraphFrameBundle, dual_family_member
-from .graphs import Graph, is_regular
+from .graphs import is_regular
 from .linalg import numerical_rank
 from .walkreg import is_walk_regular
 
@@ -92,7 +95,6 @@ class ErasureReport:
     constancy: ConstancyCertificate
     verdict: str
     verdict_basis: dict
-    search_best: Optional[SearchResult]
 
 
 def _dual_matrix(frame: Frame, dual) -> np.ndarray:
@@ -196,12 +198,17 @@ def lambda1_set(bundle: GraphFrameBundle) -> tuple:
     return tuple(int(v) for v in np.flatnonzero(products >= top * (1.0 - _TIE_TOL)))
 
 
-def constancy_certificate(bundle: GraphFrameBundle) -> ConstancyCertificate:
-    """Whether the canonical products are constant across vertices: their
-    spread is at most 1e-9 times ``max(1, largest product)``."""
-    products = canonical_products(bundle)
+def _constancy(products: np.ndarray) -> ConstancyCertificate:
+    """Whether ``products`` are constant: their spread is at most 1e-9 times
+    ``max(1, largest product)``."""
     spread = float(products.max() - products.min())
     return ConstancyCertificate(spread <= _TIE_TOL * max(1.0, float(products.max())), spread)
+
+
+def constancy_certificate(bundle: GraphFrameBundle) -> ConstancyCertificate:
+    """Whether the canonical products are constant across vertices, by the
+    rule of :func:`_constancy`."""
+    return _constancy(canonical_products(bundle))
 
 
 def non_optimality_witness(bundle: GraphFrameBundle) -> Optional[NonOptimalityWitness]:
@@ -215,12 +222,6 @@ def non_optimality_witness(bundle: GraphFrameBundle) -> Optional[NonOptimalityWi
     coefficients = np.ones(bundle.frame.count)
     residual = float(np.abs(bundle.frame.synthesis @ coefficients).max())
     return NonOptimalityWitness(vertices, coefficients, residual)
-
-
-def _component_subgraph(g: Graph, members: tuple) -> Graph:
-    index = {v: i for i, v in enumerate(members)}
-    edges = {(index[u], index[v]) for u, v in g.edges if u in index}
-    return Graph(len(members), frozenset(edges))
 
 
 def _tie_dual(bundle: GraphFrameBundle, lambda1: set):
@@ -564,32 +565,31 @@ def _minimax_descent(bundle, x, radius, iterations: int = 300):
     return x
 
 
-def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: float = 0.01,
-                      seed: int = 0) -> ErasureReport:
+def canonical_verdict(bundle: GraphFrameBundle) -> ErasureReport:
     """Optimality verdict for the canonical dual, first certificate wins:
 
     1. walk-regular graph — unique optimal dual for any number of erasures;
     2. constant products — same conclusion for any frame;
     3. connected with non-constant products — not optimal, with the
        independence/dependence witness;
-    4. a walk-regular component attains the maximum product — optimal for
-       one erasure, possibly not uniquely (a tie dual is attached whenever
-       some component avoids the argmax set entirely);
-    5. otherwise inconclusive; the report carries the best dual a seeded
-       search of the shift family could find.
+    4. a component that attains the maximum product has constant products —
+       optimal for one erasure, because each component minimises its own
+       maximum; possibly not uniquely (a tie dual is attached whenever some
+       component avoids the argmax set entirely);
+    5. otherwise inconclusive; no certificate applies, and the verdict
+       never searches (:func:`perturbation_search` does).
 
     Products within a relative 1e-9 tie; eigenvalues group within 1e-8.
     """
     products = canonical_products(bundle)
     d1 = float(products.max())
     lam1 = lambda1_set(bundle)
-    certificate = constancy_certificate(bundle)
+    certificate = _constancy(products)
     report = dict(
         d1_canonical=d1,
         per_vertex_products=products,
         lambda1=lam1,
         constancy=certificate,
-        search_best=None,
     )
 
     # walk-regular implies regular (diag A² is the degree sequence), and the
@@ -623,10 +623,11 @@ def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: floa
     for c, members in enumerate(bundle.graph.components):
         if lam1_vertices.isdisjoint(members):
             continue
-        sub = _component_subgraph(bundle.graph, members)
-        if is_regular(sub) is None or not is_walk_regular(sub).is_walk_regular:
+        component = _constancy(products[list(members)])
+        if not component.is_constant:
             continue
-        basis = {"certificate": "walk_regular_component_attains_max", "component": c}
+        basis = {"certificate": "constant_component_attains_max", "component": c,
+                 "spread": component.spread}
         tie = _tie_dual(bundle, lam1_vertices)
         if tie is not None:
             tie_component, tie_shifts, tie_value = tie
@@ -638,7 +639,5 @@ def canonical_verdict(bundle: GraphFrameBundle, trials: int = 1000, radius: floa
             basis["uniqueness"] = "unresolved"
         return ErasureReport(verdict=VERDICT_OD_SINGLE, verdict_basis=basis, **report)
 
-    search = perturbation_search(bundle, trials, radius, seed)
-    report["search_best"] = search
-    basis = {"certificate": "none", "search_improved": search.improved}
+    basis = {"certificate": "none"}
     return ErasureReport(verdict=VERDICT_INCONCLUSIVE, verdict_basis=basis, **report)

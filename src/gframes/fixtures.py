@@ -61,6 +61,22 @@ def cubic8() -> Graph:
     return Graph(8, frozenset(edges))
 
 
+def c4_corona() -> Graph:
+    """C4∘K1: a 4-cycle on {0,1,2,3} with a pendant vertex ``i + 4`` at each
+    vertex ``i``. Irregular, so not walk-regular, yet every canonical
+    product is √(9/8): the canonical dual is the unique optimal dual by
+    constancy alone."""
+    cycle = {(0, 1), (1, 2), (2, 3), (0, 3)}
+    return Graph(8, frozenset(cycle | {(i, i + 4) for i in range(4)}))
+
+
+def k4_corona() -> Graph:
+    """K4∘K1: a complete graph on {0,1,2,3} with a pendant vertex ``i + 4``
+    at each vertex ``i``. Irregular, yet every canonical product is 1."""
+    clique = {(u, v) for u in range(4) for v in range(u + 1, 4)}
+    return Graph(8, frozenset(clique | {(i, i + 4) for i in range(4)}))
+
+
 #: Registry keyed by the bundled edge-list file stems.
 FIXTURES = {
     "k3": k3,
@@ -71,11 +87,14 @@ FIXTURES = {
     "petersen": petersen,
     "figure1": k3_plus_c4,
     "figure2": cubic8,
+    "c4_corona": c4_corona,
+    "k4_corona": k4_corona,
 }
 
 #: Fixtures that are walk-regular (hence regular with equal-diagonal
 #: pseudoinverses and constant canonical products).
 WALK_REGULAR = ("k3", "c4", "two_triangles", "k33", "petersen")
 
-#: Fixtures that fail walk-regularity.
-NOT_WALK_REGULAR = ("path3", "figure1", "figure2")
+#: Fixtures that fail walk-regularity; the coronas still have constant
+#: canonical products.
+NOT_WALK_REGULAR = ("path3", "figure1", "figure2", "c4_corona", "k4_corona")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from gframes import fixtures, is_regular
+from gframes import Graph, fixtures, is_regular
 from gframes.cli import COMMANDS, REPORT_SCHEMA, _build_parser
 
 from _oracles import edge_list_text, fixture_path, random_connected_graph, run_cli
@@ -22,7 +22,7 @@ OPTIONS = {
     "graph-info": ("--format",),
     "frame-build": ("--format", "--emit-vectors"),
     "frame-spark": ("--format", "--emit-vectors"),
-    "od-verdict": ("--format", "--emit-vectors", "--seed", "--trials", "--radius"),
+    "od-verdict": ("--format", "--emit-vectors"),
     "od-search": ("--format", "--emit-vectors", "--seed", "--trials", "--radius"),
     "dr-table": ("--format", "--emit-vectors", "--seed", "--max-r", "--shifts-file", "--mc-samples"),
 }
@@ -112,6 +112,8 @@ class TestExitCodes:
         ("od-search", "--radius"), ("dr-table", "--max-r"), ("dr-table", "--mc-samples"),
     ])
     def test_out_of_range_value_is_rejected(self, command, flag):
+        # od-verdict takes neither --trials nor --radius: it rejects them as
+        # flags it does not take, before any range check
         code, out, err = run_cli([command, fixture_path("k3"), flag, "0"])
         assert code == 1 and out == "" and flag in err
 
@@ -247,6 +249,32 @@ class TestJsonReports:
         assert set(graph["walk_regular"]) == {
             "is_walk_regular", "distinct_nonzero_eigenvalues", "first_violation"}
 
+    def test_od_verdict_past_the_census_range(self, tmp_path):
+        # C60(1..5) plus a path: the census of the circulant overflows int64 at
+        # power 21, but constancy decides the verdict without a census
+        circulant = {(i, (i + j) % 60) for i in range(60) for j in range(1, 6)}
+        g = Graph(63, frozenset((min(e), max(e)) for e in circulant | {(60, 61), (61, 62)}))
+        path = tmp_path / "c60_p3.edges"
+        path.write_text(edge_list_text(g))
+        code, out, err = run_cli(["od-verdict", path])
+        assert code == 0, err
+        erasure = json.loads(out)["erasure"]
+        assert erasure["verdict"] == "OD_1_ERASURE"
+        assert erasure["verdict_basis"]["certificate"] == "constant_component_attains_max"
+        assert erasure["verdict_basis"]["component"] == 0
+
+    def test_od_search_improves_where_no_certificate_applies(self, tmp_path):
+        # C4∘K1 plus P6: P6's non-constant products attain the maximum
+        g = Graph(14, fixtures.c4_corona().edges | {(8 + i, 9 + i) for i in range(5)})
+        path = tmp_path / "c4_corona_p6.edges"
+        path.write_text(edge_list_text(g))
+        code, out, _ = run_cli(["od-search", path])
+        assert code == 0
+        erasure = json.loads(out)["erasure"]
+        assert erasure["verdict"] == "INCONCLUSIVE"
+        assert erasure["verdict_basis"] == {"certificate": "none"}
+        assert erasure["search_best"]["improved"] is True
+
     def test_od_verdict_content(self):
         _, out, _ = run_cli(["od-verdict", fixture_path("figure1")])
         erasure = json.loads(out)["erasure"]
@@ -270,7 +298,7 @@ class TestJsonReports:
         assert "null" not in out
 
     def test_config_echoed(self):
-        _, out, _ = run_cli(["od-verdict", fixture_path("k3"), "--seed", "5", "--trials", "7"])
+        _, out, _ = run_cli(["od-search", fixture_path("k3"), "--seed", "5", "--trials", "7"])
         config = json.loads(out)["config"]
         assert config["seed"] == 5
         assert config["trials"] == 7
@@ -308,6 +336,42 @@ class TestJsonReports:
             assert len(digits) <= 12, token
 
 
+class TestVerdictNeverSearches:
+    @pytest.fixture(autouse=True)
+    def forbid_search(self, monkeypatch):
+        import gframes.cli as cli_module
+        import gframes.erasure as erasure_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("od-verdict searched the dual family")
+
+        monkeypatch.setattr(cli_module, "perturbation_search", refuse)
+        monkeypatch.setattr(erasure_module, "perturbation_search", refuse)
+
+    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    def test_fixtures(self, name):
+        code, out, _ = run_cli(["od-verdict", fixture_path(name)])
+        assert code == 0
+        assert "search_best" not in json.loads(out)["erasure"]
+
+    def test_inconclusive_graph(self, tmp_path):
+        # cubic8 plus P3: no certificate applies, and still nothing searches
+        g = Graph(11, fixtures.cubic8().edges | {(8, 9), (9, 10)})
+        path = tmp_path / "cubic8_p3.edges"
+        path.write_text(edge_list_text(g))
+        code, out, _ = run_cli(["od-verdict", path])
+        assert code == 0
+        erasure = json.loads(out)["erasure"]
+        assert erasure["verdict"] == "INCONCLUSIVE" and "search_best" not in erasure
+        code, out, _ = run_cli(["od-verdict", path, "--format", "text"])
+        assert code == 0 and "search best" not in out
+
+    def test_search_is_refused(self):
+        # the patch bites: od-search does search
+        with pytest.raises(AssertionError, match="searched"):
+            run_cli(["od-search", fixture_path("k3")])
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command,name", [
         ("graph-info", "petersen"),
@@ -318,7 +382,7 @@ class TestDeterminism:
         ("dr-table", "c4"),
     ])
     def test_byte_identical_reruns(self, command, name):
-        trials = ["--trials", "200"] if command in ("od-verdict", "od-search") else []
+        trials = ["--trials", "200"] if command == "od-search" else []
         first = run_cli([command, fixture_path(name), *trials])
         second = run_cli([command, fixture_path(name), *trials])
         assert first == second
@@ -358,6 +422,37 @@ class TestSharedParser:
         config = json.loads(results[3][1])["config"]
         assert (config["seed"], config["trials"]) == (0, 1000)
         assert results == [run_cli_fresh(argv) for argv in sequence]
+
+
+class TestSparkCrossCheckWork:
+    def test_same_rank_work_however_labels_interleave(self, monkeypatch, tmp_path):
+        # a 6-cycle and a 6-vertex path, on contiguous labels and with the
+        # cycle on {0, 7..11}; in the caller's vertex order the first
+        # dependent 6-subset, {0, 7..11}, lies past the first rank chunk
+        import gframes.frames as frames_module
+        from gframes.linalg import numerical_rank
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return numerical_rank(*args, **kwargs)
+
+        monkeypatch.setattr(frames_module, "numerical_rank", counted)
+        counts = []
+        for first in ((0, 1, 2, 3, 4, 5), (0, 7, 8, 9, 10, 11)):
+            second = sorted(set(range(12)) - set(first))
+            edges = {(first[i], first[(i + 1) % 6]) for i in range(6)}
+            edges |= {(second[i], second[i + 1]) for i in range(5)}
+            g = Graph(12, frozenset((min(e), max(e)) for e in edges))
+            path = tmp_path / f"split-{first[1]}.edges"
+            path.write_text(edge_list_text(g))
+            calls.clear()
+            code, out, _ = run_cli(["frame-spark", path])
+            assert code == 0
+            assert json.loads(out)["spark"]["brute_force"] == 6
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestOtherFormats:

@@ -1,5 +1,6 @@
 """Erasure error operators, worst-case norms, verdicts, and the dual search."""
 
+import json
 import math
 import tracemalloc
 from itertools import combinations
@@ -38,8 +39,10 @@ from gframes import erasure
 from _oracles import (
     alt_frame_cubic8,
     alt_frame_two_component,
+    edge_list_text,
     min_norm_in_hull_frank_wolfe,
     random_connected_graph,
+    run_cli,
     trisect,
 )
 
@@ -59,6 +62,10 @@ def disjoint_union(a, b):
 
 def cycle(m):
     return Graph(m, frozenset((i, (i + 1) % m) for i in range(m)))
+
+
+def path(m):
+    return Graph(m, frozenset((i, i + 1) for i in range(m - 1)))
 
 
 class TestOneCanonicalPath:
@@ -100,6 +107,8 @@ class TestPerComponentOptimality:
                 for members in g.components
             )
             assert perturbation_search(b).improved != constant_at_max, trial
+            verdict = canonical_verdict(b).verdict
+            assert verdict == (VERDICT_OD_SINGLE if constant_at_max else VERDICT_INCONCLUSIVE), trial
             outcomes.append(constant_at_max)
         assert any(outcomes) and not all(outcomes)
 
@@ -289,21 +298,22 @@ class TestVerdicts:
         report = canonical_verdict(bundle_of("k3"))
         assert report.verdict == VERDICT_UNIQUE_ALL
         assert report.verdict_basis["certificate"] == "walk_regular_graph"
-        assert report.search_best is None
 
     def test_two_triangles_unique(self):
         report = canonical_verdict(bundle_of("two_triangles"))
         assert report.verdict == VERDICT_UNIQUE_ALL
 
     def test_constant_products_without_walk_regularity(self):
-        # two single-edge components: not walk-regular as a union of K2s is,
-        # actually walk-regular, so use a pair of different walk-regular
-        # components with equal products instead: two triangles is covered
-        # above; here force the certificate order by checking the basis tag.
-        report = canonical_verdict(bundle_of("two_triangles"))
-        assert report.verdict_basis["certificate"] in (
-            "walk_regular_graph", "constant_norm_products"
-        )
+        # connected, irregular (so not walk-regular), yet constant products:
+        # the constancy certificate decides, not the walk-regular theorem
+        for name, product in (("c4_corona", math.sqrt(9 / 8)), ("k4_corona", 1.0)):
+            g = fixtures.FIXTURES[name]()
+            assert g.is_connected and not is_walk_regular(g).is_walk_regular
+            report = canonical_verdict(bundle_of(name))
+            assert report.verdict == VERDICT_UNIQUE_ALL
+            assert report.verdict_basis["certificate"] == "constant_norm_products"
+            assert report.verdict_basis["uniqueness"] == "unique"
+            assert np.allclose(report.per_vertex_products, product, rtol=0, atol=1e-12)
 
     def test_two_component_fixture_od_single_not_unique(self):
         report = canonical_verdict(bundle_of("figure1"))
@@ -321,17 +331,22 @@ class TestVerdicts:
     def test_path3_not_od(self):
         assert canonical_verdict(bundle_of("path3")).verdict == VERDICT_NOT_OD
 
-    def test_inconclusive_with_search(self):
+    def test_inconclusive_with_search(self, tmp_path):
         # cubic8 plus a path: disconnected, non-constant, and the argmax
-        # component is not walk-regular, so no certificate applies
-        cubic = fixtures.cubic8()
-        edges = set(cubic.edges) | {(8, 9), (9, 10)}
-        g = Graph(11, frozenset(edges))
-        report = canonical_verdict(g_bundle := build_lg_frame(g), trials=200, seed=3)
+        # component has non-constant products, so no certificate applies;
+        # od-search, not the verdict, finds the better dual
+        g = disjoint_union(fixtures.cubic8(), path(3))
+        report = canonical_verdict(g_bundle := build_lg_frame(g))
         assert report.verdict == VERDICT_INCONCLUSIVE
-        assert report.search_best is not None
-        assert report.search_best.improved
+        assert report.verdict_basis == {"certificate": "none"}
         assert lambda1_set(g_bundle) == (1, 4, 6, 7)
+        file = tmp_path / "cubic8_p3.edges"
+        file.write_text(edge_list_text(g))
+        code, out, _ = run_cli(["od-search", file, "--trials", "200", "--seed", "3"])
+        assert code == 0
+        erasure_section = json.loads(out)["erasure"]
+        assert erasure_section["verdict"] == VERDICT_INCONCLUSIVE
+        assert erasure_section["search_best"]["improved"] is True
 
     def test_per_vertex_products_match_report(self):
         b = bundle_of("figure2")
@@ -381,14 +396,15 @@ class TestRegularityPrecondition:
     def test_irregular_connected_skips_census(self, census_calls):
         connected, _ = irregular_inputs()
         for g in connected:
-            assert canonical_verdict(build_lg_frame(g), trials=20).verdict == VERDICT_NOT_OD
+            assert canonical_verdict(build_lg_frame(g)).verdict == VERDICT_NOT_OD
         assert census_calls == []
 
     def test_irregular_components_skip_census(self, census_calls):
         _, split = irregular_inputs()
         for g in split:
-            report = canonical_verdict(build_lg_frame(g), trials=20)
-            assert report.verdict_basis["certificate"] in ("none", "constant_norm_products")
+            report = canonical_verdict(build_lg_frame(g))
+            assert report.verdict_basis["certificate"] in (
+                "none", "constant_norm_products", "constant_component_attains_max")
         assert census_calls == []
 
     def test_regular_inputs_still_run_census(self, census_calls):
@@ -401,8 +417,38 @@ class TestRegularityPrecondition:
         assert len(census_calls) == 1
         census_calls.clear()
         report = canonical_verdict(bundle_of("figure1"))
-        assert report.verdict_basis["certificate"] == "walk_regular_component_attains_max"
-        assert len(census_calls) == 2  # the whole graph, then the C4 that attains the max
+        assert report.verdict_basis["certificate"] == "constant_component_attains_max"
+        assert len(census_calls) == 1  # the whole graph; constancy decides the C4
+
+
+class TestPerComponentRule:
+    """``OD_1_ERASURE`` exactly when a component that attains the maximum has
+    constant products, whether or not that component is walk-regular."""
+
+    def test_constant_irregular_component_attains_max(self, census_calls):
+        # C4∘K1 (every product √(9/8)) beats the path P3 (top product 0.745)
+        b = build_lg_frame(disjoint_union(fixtures.c4_corona(), path(3)))
+        report = canonical_verdict(b)
+        assert report.verdict == VERDICT_OD_SINGLE
+        basis = report.verdict_basis
+        assert basis["certificate"] == "constant_component_attains_max"
+        assert basis["component"] == 0
+        assert basis["spread"] <= 1e-12
+        assert basis["uniqueness"] == "not_unique"
+        assert basis["tie_component"] == 1
+        assert basis["tie_d1"] == pytest.approx(report.d1_canonical, abs=1e-12)
+        assert report.lambda1 == tuple(range(8))
+        assert census_calls == []  # irregular, so no census anywhere
+        assert not perturbation_search(b).improved
+
+    def test_non_constant_component_above_it(self):
+        # P6's product 1.312 tops √(9/8), and P6's products are not constant
+        b = build_lg_frame(disjoint_union(fixtures.c4_corona(), path(6)))
+        report = canonical_verdict(b)
+        assert report.verdict == VERDICT_INCONCLUSIVE
+        assert report.verdict_basis == {"certificate": "none"}
+        assert report.d1_canonical == pytest.approx(1.3123346456686, abs=1e-12)
+        assert report.lambda1 == (9, 12)  # od-search improves on it (test_cli)
 
 
 class TestPerturbationSearch:

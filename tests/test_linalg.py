@@ -19,12 +19,15 @@ from gframes import (
 
 from _oracles import bareiss_det, count_closed_walks, jacobi_eigh, random_symmetric
 
-ALL_FIXTURES = sorted(fixtures.FIXTURES)
+#: Fixtures whose Laplacian and adjacency matrices the eigensolver and
+#: pseudoinverse tests check. A fixed list: test ids number the matrices by
+#: position, so a fixture added to the registry must not renumber them.
+MATRIX_FIXTURES = ("c4", "figure1", "figure2", "k3", "k33", "path3", "petersen", "two_triangles")
 
 
 def fixture_matrices():
     out = []
-    for name in ALL_FIXTURES:
+    for name in MATRIX_FIXTURES:
         g = fixtures.FIXTURES[name]()
         out.append((f"L({name})", laplacian_matrix(g)))
         out.append((f"A({name})", adjacency_matrix(g)))
