@@ -168,9 +168,19 @@ REPORT_SCHEMA = {
 
 def _fmt_float(x) -> str:
     value = float(x)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite float {value!r}")
     return format(value, ".12g")
+
+
+#: Renderers of the built-in scalars that fill reports, keyed by exact type;
+#: anything else (containers, numpy scalars, errors) goes through render_json.
+_SCALARS = {bool: lambda v: "true" if v else "false", int: str, float: _fmt_float, str: json.dumps}
+
+
+def _render_item(value, indent: int) -> str:
+    scalar = _SCALARS.get(type(value))
+    return scalar(value) if scalar is not None else render_json(value, indent)
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -181,14 +191,14 @@ def render_json(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f"{pad}  {json.dumps(str(key))}: {render_json(value, indent + 1)}"
+            f"{pad}  {json.dumps(str(key))}: {_render_item(value, indent + 1)}"
             for key, value in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        items = [render_json(value, indent + 1) for value in obj]
+        items = [_render_item(value, indent + 1) for value in obj]
         flat = "[" + ", ".join(items) + "]"
         if "\n" not in flat and len(flat) + 2 * indent <= 100:
             return flat

@@ -183,17 +183,24 @@ def d_r_lower_bound(frame: Frame, dual, r: int, samples: int, seed: int = 0) -> 
     return _worst_subset(frame, h, np.array(draws, dtype=np.intp))
 
 
+def _canonical_norms(bundle: GraphFrameBundle) -> tuple:
+    """Column norms ``(|f_i|, |S^-1 f_i|)`` of the frame and its canonical dual."""
+    return (np.linalg.norm(bundle.frame.synthesis, axis=0),
+            np.linalg.norm(bundle.canonical, axis=0))
+
+
 def canonical_products(bundle: GraphFrameBundle) -> np.ndarray:
     """Per-vertex products ``|f_i| * |S^-1 f_i|``."""
-    b = bundle.frame.synthesis
-    return np.linalg.norm(b, axis=0) * np.linalg.norm(bundle.canonical, axis=0)
+    f_norms, h_norms = _canonical_norms(bundle)
+    return f_norms * h_norms
 
 
-def lambda1_set(bundle: GraphFrameBundle) -> tuple:
+def lambda1_set(bundle: GraphFrameBundle, products: Optional[np.ndarray] = None) -> tuple:
     """Sorted vertices whose canonical product attains the maximum, with
     products within a relative 1e-9 of it counted as tied (the tie rule of
-    :func:`d_r`)."""
-    products = canonical_products(bundle)
+    :func:`d_r`). ``products`` defaults to :func:`canonical_products`."""
+    if products is None:
+        products = canonical_products(bundle)
     top = float(products.max())
     return tuple(int(v) for v in np.flatnonzero(products >= top * (1.0 - _TIE_TOL)))
 
@@ -211,11 +218,12 @@ def constancy_certificate(bundle: GraphFrameBundle) -> ConstancyCertificate:
     return _constancy(canonical_products(bundle))
 
 
-def non_optimality_witness(bundle: GraphFrameBundle) -> Optional[NonOptimalityWitness]:
+def non_optimality_witness(bundle: GraphFrameBundle,
+                           lambda1: Optional[tuple] = None) -> Optional[NonOptimalityWitness]:
     """Witness that the canonical dual is not optimal for one erasure, or
     ``None`` when the argmax vectors are dependent and no such certificate
-    exists down this route."""
-    vertices = lambda1_set(bundle)
+    exists down this route. ``lambda1`` defaults to :func:`lambda1_set`."""
+    vertices = lambda1_set(bundle) if lambda1 is None else lambda1
     sub = bundle.frame.synthesis[:, list(vertices)]
     if numerical_rank(sub) < len(vertices):
         return None
@@ -224,14 +232,13 @@ def non_optimality_witness(bundle: GraphFrameBundle) -> Optional[NonOptimalityWi
     return NonOptimalityWitness(vertices, coefficients, residual)
 
 
-def _tie_dual(bundle: GraphFrameBundle, lambda1: set):
+def _tie_dual(bundle: GraphFrameBundle, lambda1: set, norms: tuple):
     """A different dual attaining exactly the canonical D^1, built by
     shifting one component whose vertices all sit strictly below the
-    maximum product; ``None`` when every component touches the argmax."""
-    products = canonical_products(bundle)
-    top = float(products.max())
-    f_norms = np.linalg.norm(bundle.frame.synthesis, axis=0)
-    h_norms = np.linalg.norm(bundle.canonical, axis=0)
+    maximum product; ``None`` when every component touches the argmax.
+    ``norms`` are the :func:`_canonical_norms` of the bundle."""
+    f_norms, h_norms = norms
+    top = float((f_norms * h_norms).max())
     for c, members in enumerate(bundle.graph.components):
         if not lambda1.isdisjoint(members):
             continue
@@ -581,9 +588,10 @@ def canonical_verdict(bundle: GraphFrameBundle) -> ErasureReport:
 
     Products within a relative 1e-9 tie; eigenvalues group within 1e-8.
     """
-    products = canonical_products(bundle)
+    norms = _canonical_norms(bundle)
+    products = norms[0] * norms[1]
     d1 = float(products.max())
-    lam1 = lambda1_set(bundle)
+    lam1 = lambda1_set(bundle, products)
     certificate = _constancy(products)
     report = dict(
         d1_canonical=d1,
@@ -607,7 +615,7 @@ def canonical_verdict(bundle: GraphFrameBundle) -> ErasureReport:
         return ErasureReport(verdict=VERDICT_UNIQUE_ALL, verdict_basis=basis, **report)
 
     if bundle.graph.is_connected:
-        witness = non_optimality_witness(bundle)
+        witness = non_optimality_witness(bundle, lam1)
         if witness is None:
             raise RuntimeError(
                 "connected graph with non-constant products must yield a witness; this is a bug"
@@ -628,7 +636,7 @@ def canonical_verdict(bundle: GraphFrameBundle) -> ErasureReport:
             continue
         basis = {"certificate": "constant_component_attains_max", "component": c,
                  "spread": component.spread}
-        tie = _tie_dual(bundle, lam1_vertices)
+        tie = _tie_dual(bundle, lam1_vertices, norms)
         if tie is not None:
             tie_component, tie_shifts, tie_value = tie
             basis["uniqueness"] = "not_unique"

@@ -58,6 +58,18 @@ class Graph:
         return tuple(tuple(sorted(ns)) for ns in neighbors)
 
     @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only 0/1 adjacency matrix; :func:`adjacency_matrix` gives a
+        writable copy."""
+        a = np.zeros((self.n, self.n))
+        if self.edges:
+            u, v = np.array(list(self.edges)).T
+            a[u, v] = 1.0
+            a[v, u] = 1.0
+        a.flags.writeable = False
+        return a
+
+    @cached_property
     def components(self) -> tuple:
         """Connected components as sorted vertex tuples, ordered by smallest member."""
         seen = [False] * self.n
@@ -141,16 +153,12 @@ def degree_sequence(g: Graph) -> list:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric 0/1 matrix with zero diagonal; entry 1 iff the pair is an edge."""
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
+    return g.adjacency.copy()
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
     """Degree matrix minus adjacency matrix; every row sums to zero."""
-    lap = -adjacency_matrix(g)
+    lap = -g.adjacency
     lap[np.diag_indices(g.n)] = degree_sequence(g)
     return lap
 

@@ -131,13 +131,25 @@ def numerical_rank(m, tol: float = 1e-8) -> Union[int, np.ndarray]:
 
 
 def _exact_power_diagonals(m_int: np.ndarray, p_max: int) -> Iterator[list]:
-    """Yield the diagonals of m, m^2, ..., m^p_max in exact integer arithmetic,
-    one power at a time, so a caller can stop early.
+    """Yield the diagonals of m, m^2, ..., m^p_max for an int64 matrix m in
+    exact integer arithmetic, one power at a time, so a caller can stop early.
 
-    Entries are kept as arbitrary-precision ints but must stay inside the
-    signed 64-bit range; exceeding it raises OverflowError rather than ever
-    wrapping around.
+    The route is chosen once per call from r, the largest absolute row sum,
+    taken in Python ints because ``abs`` of the most negative int64 wraps.
+    Every entry of m^p, and every partial sum that forms one, is at most
+    r^p in magnitude, so when r^p_max fits in int64 the powers are int64
+    matrix products and cannot overflow. Otherwise entries are kept as
+    arbitrary-precision ints but must stay inside the signed 64-bit range;
+    exceeding it raises OverflowError rather than ever wrapping around.
     """
+    r = max((sum(map(abs, row)) for row in m_int.tolist()), default=0)
+    if r**p_max <= _INT64_MAX:
+        power = m_int
+        for p in range(1, p_max + 1):
+            if p > 1:
+                power = power @ m_int
+            yield power.diagonal().tolist()
+        return
     base = m_int.astype(object)
     power = base
     for p in range(1, p_max + 1):
@@ -167,6 +179,9 @@ def matrix_power_diagonal(m, p: int, exact: Optional[bool] = None) -> list:
         raise ValueError("exact integer powers need an integer-valued matrix")
     if exact:
         try:
+            # casting a float at or past 2^63 to int64 is undefined, so refuse it first
+            if a.size and float(np.abs(a).max()) > _INT64_MAX:
+                raise OverflowError("integer matrix power overflows 64-bit range at power 1")
             for diag in _exact_power_diagonals(np.rint(a).astype(np.int64), p):
                 pass
             return diag

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, adjacency_matrix
+from .graphs import Graph
 from .linalg import SymmetricSpectrum, _exact_power_diagonals, eigh_symmetric
 
 
@@ -57,7 +57,7 @@ def _census(g: Graph, p_max: int) -> tuple:
     """Diagonals of A^1..A^p_max as exact integer tuples, stopping after the
     first non-constant one: later powers cannot change the verdict, and an
     irregular graph stops at power 2, whose diagonal is the degree sequence."""
-    a = adjacency_matrix(g).astype(np.int64)
+    a = g.adjacency.astype(np.int64)
     checked = []
     for p, diag in enumerate(_exact_power_diagonals(a, p_max), start=1):
         checked.append((p, tuple(diag)))
@@ -80,7 +80,7 @@ def is_walk_regular(g: Graph) -> WalkRegularityReport:
     census only needs the powers 1..k, with k the number of distinct
     nonzero adjacency eigenvalues, grouped within 1e-8 times the largest
     eigenvalue magnitude (:func:`distinct_nonzero_eigenvalue_count`)."""
-    spectrum = eigh_symmetric(adjacency_matrix(g))
+    spectrum = eigh_symmetric(g.adjacency)
     k = distinct_nonzero_eigenvalue_count(spectrum)
     checked = _census(g, k) if k else ()
     violation = _first_violation(checked)
@@ -97,7 +97,7 @@ def is_walk_regular_definition(g: Graph, p_max: int) -> WalkRegularityReport:
     """
     if not isinstance(p_max, int) or p_max < 1:
         raise ValueError(f"p_max must be a positive integer, got {p_max!r}")
-    spectrum = eigh_symmetric(adjacency_matrix(g))
+    spectrum = eigh_symmetric(g.adjacency)
     k = distinct_nonzero_eigenvalue_count(spectrum)
     try:
         checked = _census(g, p_max)

@@ -2,11 +2,11 @@
 
 Everything here is deliberately computed by a route different from the
 library under test: determinants by fraction-free elimination, closed
-walks by explicit enumeration, symmetric eigendecompositions by cyclic
-Jacobi sweeps, ranks and norms by numpy's LAPACK bindings (the spark by
-one SVD per column subset), minimum-norm points by Frank-Wolfe, convex
-minima by trisection, and frames from hand-entered block-structured
-eigenbases.
+walks by explicit enumeration or unbounded Python-int matrix products,
+symmetric eigendecompositions by cyclic Jacobi sweeps, ranks and norms by
+numpy's LAPACK bindings (the spark by one SVD per column subset),
+minimum-norm points by Frank-Wolfe, convex minima by trisection, and
+frames from hand-entered block-structured eigenbases.
 """
 
 from __future__ import annotations
@@ -115,6 +115,48 @@ def count_closed_walks(g: Graph, start: int, length: int) -> int:
         return sum(extend(w, remaining - 1) for w in g.adjacency_lists[v])
 
     return extend(start, length)
+
+
+def object_power_diagonals(m, p_max: int) -> list:
+    """Diagonals of m^1..m^p_max by Python-int matrix products, unbounded."""
+    base = np.asarray(m).astype(object)
+    power, diagonals = base, []
+    for p in range(1, p_max + 1):
+        if p > 1:
+            power = power @ base
+        diagonals.append([int(x) for x in power.diagonal()])
+    return diagonals
+
+
+def circulant_graph(n: int, jumps) -> Graph:
+    return Graph(n, frozenset((min(i, (i + s) % n), max(i, (i + s) % n))
+                              for i in range(n) for s in jumps))
+
+
+def paley_graph(q: int) -> Graph:
+    squares = {(x * x) % q for x in range(1, q)}
+    return Graph(q, frozenset((i, j) for i, j in combinations(range(q), 2) if (j - i) % q in squares))
+
+
+def hypercube_graph(d: int) -> Graph:
+    return Graph(2**d, frozenset((v, v | (1 << b)) for v in range(2**d) for b in range(d)
+                                 if not v & (1 << b)))
+
+
+def kneser_graph(m: int, k: int) -> Graph:
+    sets = [frozenset(c) for c in combinations(range(m), k)]
+    return Graph(len(sets), frozenset((i, j) for i, j in combinations(range(len(sets)), 2)
+                                      if not sets[i] & sets[j]))
+
+
+def regular_census_graphs() -> dict:
+    """Vertex-transitive graphs whose walk census runs every power up to k in int64."""
+    return {"C36(1,2)": circulant_graph(36, (1, 2)),
+            "C32(1..4)": circulant_graph(32, (1, 2, 3, 4)),
+            "Paley(13)": paley_graph(13),
+            "Paley(37)": paley_graph(37),
+            "Q5": hypercube_graph(5),
+            "K(7,3)": kneser_graph(7, 3)}
 
 
 def random_connected_graph(rng, n_min: int = 4, n_max: int = 10) -> Graph:

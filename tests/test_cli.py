@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, schema validity, determinism, and formats."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from jsonschema import validate
 
 from gframes import Graph, fixtures, is_regular
-from gframes.cli import COMMANDS, REPORT_SCHEMA, _build_parser
+from gframes.cli import COMMANDS, REPORT_SCHEMA, _build_parser, render_json
 
 from _oracles import edge_list_text, fixture_path, random_connected_graph, run_cli
 
@@ -334,6 +335,42 @@ class TestJsonReports:
                 continue
             digits = token.lstrip("-").replace(".", "").split("e")[0].lstrip("0")
             assert len(digits) <= 12, token
+
+
+class TestRenderJson:
+    def test_scalars_in_lists_and_dicts(self):
+        report = {"flags": [True, False], "ints": [1, np.int64(-2)],
+                  "floats": [0.1, np.float64(1 / 3), 2.0, -0.0, 1e300],
+                  "names": ["a", "b\"c"], "nested": [[1, 2.5], {"x": True}], "empty": []}
+        assert render_json(report) == "\n".join([
+            "{",
+            '  "flags": [true, false],',
+            '  "ints": [1, -2],',
+            '  "floats": [0.1, 0.333333333333, 2, -0, 1e+300],',
+            '  "names": ["a", "b\\"c"],',
+            '  "nested": [',
+            "    [1, 2.5],",
+            "    {",
+            '      "x": true',
+            "    }",
+            "  ],",
+            '  "empty": []',
+            "}",
+        ])
+
+    @pytest.mark.parametrize("value", [float("nan"), np.float64("inf"), -math.inf])
+    def test_non_finite_floats_rejected(self, value):
+        for obj in (value, [1.0, value], {"x": value}):
+            with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+                render_json(obj)
+
+    def test_none_and_unknown_types_rejected(self):
+        for obj in (None, [1, None], {"x": None}):
+            with pytest.raises(ValueError, match="reports omit absent values"):
+                render_json(obj)
+        for obj in (object(), [1, {1j}], {"x": 1j}):
+            with pytest.raises(TypeError, match="cannot serialize (object|set|complex)"):
+                render_json(obj)
 
 
 class TestVerdictNeverSearches:

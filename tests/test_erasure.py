@@ -293,6 +293,36 @@ class TestNonOptimalityWitness:
         assert non_optimality_witness(bundle_of("figure1")) is None
 
 
+class TestProductsComputedOnce:
+    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    def test_passed_values_change_nothing(self, name):
+        b = bundle_of(name)
+        lam1 = lambda1_set(b)
+        assert lambda1_set(b, canonical_products(b)) == lam1
+        alone, passed = non_optimality_witness(b), non_optimality_witness(b, lam1)
+        assert (alone is None) == (passed is None)
+        if alone is not None:
+            assert alone.vertices == passed.vertices
+            assert alone.dependence_residual == passed.dependence_residual
+
+    @pytest.mark.parametrize("name,certificate", [
+        ("figure1", "constant_component_attains_max"),
+        ("figure2", "independent_argmax_with_global_dependence"),
+    ])
+    def test_verdict_takes_column_norms_once(self, monkeypatch, name, certificate):
+        calls = []
+        original = erasure._canonical_norms
+
+        def counted(bundle):
+            calls.append(bundle)
+            return original(bundle)
+
+        monkeypatch.setattr(erasure, "_canonical_norms", counted)
+        report = canonical_verdict(bundle_of(name))
+        assert report.verdict_basis["certificate"] == certificate
+        assert len(calls) == 1
+
+
 class TestVerdicts:
     def test_k3_unique(self):
         report = canonical_verdict(bundle_of("k3"))

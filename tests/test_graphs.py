@@ -132,6 +132,35 @@ class TestMatrices:
         assert rank == g.n - len(g.components)
 
 
+class TestCachedAdjacency:
+    def test_read_only(self):
+        g = fixtures.k3()
+        assert g.adjacency is g.adjacency
+        assert not g.adjacency.flags.writeable
+        with pytest.raises(ValueError):
+            g.adjacency[0, 1] = 5.0
+
+    def test_writes_to_copies_do_not_leak(self):
+        g = fixtures.cubic8()
+        expected_adjacency, expected_laplacian = adjacency_matrix(g), laplacian_matrix(g)
+        a = adjacency_matrix(g)
+        a[:] = 7.0
+        lap = laplacian_matrix(g)
+        lap[:] = 7.0
+        assert np.array_equal(adjacency_matrix(g), expected_adjacency)
+        assert np.array_equal(laplacian_matrix(g), expected_laplacian)
+        assert np.array_equal(laplacian_matrix(g), CUBIC8_LAPLACIAN)
+
+    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    def test_matches_edge_by_edge_construction(self, name):
+        g = fixtures.FIXTURES[name]()
+        expected = np.zeros((g.n, g.n))
+        for u, v in g.edges:
+            expected[u, v] = expected[v, u] = 1.0
+        assert np.array_equal(adjacency_matrix(g), expected)
+        assert adjacency_matrix(g).flags.writeable
+
+
 class TestDegrees:
     def test_degree_examples(self):
         assert degree_sequence(fixtures.k3()) == [2, 2, 2]

@@ -16,8 +16,19 @@ from gframes import (
     numerical_rank,
     spectral_norm,
 )
+from gframes.linalg import _exact_power_diagonals
 
-from _oracles import bareiss_det, count_closed_walks, jacobi_eigh, random_symmetric
+from _oracles import (
+    bareiss_det,
+    circulant_graph,
+    count_closed_walks,
+    jacobi_eigh,
+    object_power_diagonals,
+    paley_graph,
+    random_connected_graph,
+    random_symmetric,
+    regular_census_graphs,
+)
 
 #: Fixtures whose Laplacian and adjacency matrices the eigensolver and
 #: pseudoinverse tests check. A fixed list: test ids number the matrices by
@@ -201,6 +212,107 @@ class TestMatrixPowerDiagonal:
     def test_rejects_bad_power(self):
         with pytest.raises(ValueError):
             matrix_power_diagonal(np.eye(2), 0)
+
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def int64_reach(m) -> int:
+    """Largest p with r^p <= 2^63 - 1, r the largest absolute row sum of m
+    (capped at 200 for r <= 1): the powers the int64 census route covers."""
+    r = max(sum(abs(int(x)) for x in row) for row in np.asarray(m).tolist())
+    p = 0
+    while p < 200 and r ** (p + 1) <= _INT64_MAX:
+        p += 1
+    return p
+
+
+def _census_graphs():
+    """The fixtures, named regular graphs, and seeded circulants."""
+    graphs = [(name, fixtures.FIXTURES[name]()) for name in sorted(fixtures.FIXTURES)]
+    graphs += list(regular_census_graphs().items())
+    rng = np.random.default_rng(19)
+    for _ in range(4):
+        n = int(rng.integers(9, 41))
+        jumps = rng.choice(np.arange(1, n // 2 + 1), size=int(rng.integers(1, 5)), replace=False)
+        jumps = sorted(int(j) for j in jumps)
+        graphs.append((f"C{n}({','.join(map(str, jumps))})", circulant_graph(n, jumps)))
+    return graphs
+
+
+CENSUS_GRAPHS = _census_graphs()
+LAPLACIAN_GRAPHS = CENSUS_GRAPHS[:12] + [
+    (f"random{i}", random_connected_graph(np.random.default_rng(40 + i))) for i in range(6)]
+
+
+class TestExactCensusRoutes:
+    @pytest.mark.parametrize("g", [g for _, g in CENSUS_GRAPHS],
+                             ids=[label for label, _ in CENSUS_GRAPHS])
+    def test_int64_route_matches_object_products(self, g):
+        a = adjacency_matrix(g).astype(np.int64)
+        p_max = min(int64_reach(a), g.n)
+        assert p_max >= min(3, g.n)
+        assert list(_exact_power_diagonals(a, p_max)) == object_power_diagonals(a, p_max)
+
+    @pytest.mark.parametrize("name", ["k3", "c4", "path3", "petersen"])
+    def test_int64_route_matches_walk_enumeration(self, name):
+        g = fixtures.FIXTURES[name]()
+        diagonals = list(_exact_power_diagonals(adjacency_matrix(g).astype(np.int64), 6))
+        for p, diag in enumerate(diagonals, start=1):
+            assert diag == [count_closed_walks(g, v, p) for v in range(g.n)]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_just_inside_the_bound(self, sign):
+        # rows sum to r = 2^21 - 1 in magnitude, and r^3 < 2^63 <= (r + 1)^3
+        half = 2**20
+        m = np.array([[half, sign * (half - 1)], [sign * (half - 1), half]], dtype=np.int64)
+        assert int64_reach(m) == 3
+        assert list(_exact_power_diagonals(m, 3)) == object_power_diagonals(m, 3)
+
+    def test_just_outside_the_bound_raises_where_int64_would_wrap(self):
+        m = np.array([[2**21]], dtype=np.int64)  # r^3 = 2^63
+        assert (m @ m @ m)[0, 0] < 0  # int64 products wrap here
+        diagonals = _exact_power_diagonals(m, 3)
+        assert next(diagonals) == [2**21]
+        assert next(diagonals) == [2**42]
+        with pytest.raises(OverflowError, match="at power 3$"):
+            next(diagonals)
+
+    def test_beyond_the_bound_but_in_range_is_exact(self):
+        # r = 2^21, but the entries of m^3 are only 2^62 in magnitude
+        m = np.array([[2**20, -(2**20)], [-(2**20), 2**20]], dtype=np.int64)
+        assert int64_reach(m) == 2
+        assert list(_exact_power_diagonals(m, 3)) == object_power_diagonals(m, 3)
+
+    @pytest.mark.parametrize("value", [2.0**63, -(2.0**63), 1e19, -1e300])
+    def test_float_entry_past_int64_raises_at_power_one(self, value):
+        with pytest.raises(OverflowError, match="at power 1; pass exact=False"):
+            matrix_power_diagonal(np.array([[0.0, value], [value, 0.0]]), 3)
+
+    @pytest.mark.parametrize("row", [[-(2**63), 0], [-(2**63), 1]])
+    def test_entry_of_magnitude_2_63_raises_at_power_one(self, row):
+        # abs(-2^63) wraps in int64, so the row sum must not be taken there
+        m = np.array([row, row[::-1]], dtype=np.int64)
+        with pytest.raises(OverflowError, match="at power 1$"):
+            next(_exact_power_diagonals(m, 4))
+        with pytest.raises(OverflowError, match="at power 1; pass exact=False"):
+            matrix_power_diagonal(m.astype(float), 1)
+
+    @pytest.mark.parametrize("g", [g for _, g in LAPLACIAN_GRAPHS],
+                             ids=[label for label, _ in LAPLACIAN_GRAPHS])
+    def test_laplacian_powers(self, g):
+        # negative off-diagonal entries; r = 2 * max degree
+        lap = laplacian_matrix(g)
+        expected = object_power_diagonals(lap.astype(np.int64), 8)
+        for p in (1, 2, 3, min(int64_reach(lap), 8), 8):
+            assert matrix_power_diagonal(lap, p) == expected[p - 1]
+
+    def test_laplacian_beyond_the_bound(self):
+        lap = laplacian_matrix(paley_graph(37))  # r = 36 and 36^13 > 2^63
+        assert int64_reach(lap) == 12
+        assert matrix_power_diagonal(lap, 13) == object_power_diagonals(
+            lap.astype(np.int64), 13)[-1]
 
 
 class TestSpectralNorm:

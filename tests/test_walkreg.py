@@ -15,6 +15,16 @@ from gframes import (
     moore_penrose,
 )
 
+from _oracles import (
+    circulant_graph,
+    edge_list_text,
+    object_power_diagonals,
+    regular_census_graphs,
+    run_cli,
+)
+
+REGULAR_CENSUS = regular_census_graphs()
+
 
 class TestCertifiedPath:
     def test_k3(self):
@@ -56,6 +66,35 @@ class TestCertifiedPath:
     @pytest.mark.parametrize("name", fixtures.NOT_WALK_REGULAR)
     def test_non_walk_regular_fixtures(self, name):
         assert not is_walk_regular(fixtures.FIXTURES[name]()).is_walk_regular
+
+
+class TestCensus:
+    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES) + sorted(REGULAR_CENSUS))
+    def test_checked_powers_match_object_products(self, name):
+        g = fixtures.FIXTURES[name]() if name in fixtures.FIXTURES else REGULAR_CENSUS[name]
+        report = is_walk_regular(g)
+        expected = object_power_diagonals(adjacency_matrix(g).astype(np.int64),
+                                          len(report.checked_powers))
+        assert report.checked_powers == tuple(
+            (p, tuple(diag)) for p, diag in enumerate(expected, start=1))
+        if report.is_walk_regular:
+            assert len(report.checked_powers) == report.distinct_nonzero_eigenvalue_count
+
+    @pytest.mark.parametrize("name", sorted(REGULAR_CENSUS))
+    def test_vertex_transitive_graphs_are_walk_regular(self, name):
+        assert is_walk_regular(REGULAR_CENSUS[name]).is_walk_regular
+
+    @pytest.mark.parametrize("n,jumps,power", [(60, (1, 2, 3, 4, 5), 21), (80, (1, 2), 34)],
+                             ids=["C60(1..5)", "C80(1,2)"])
+    def test_past_the_int64_range_still_raises(self, tmp_path, n, jumps, power):
+        g = circulant_graph(n, jumps)
+        message = f"integer matrix power overflows 64-bit range at power {power}"
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            is_walk_regular(g)
+        path = tmp_path / "circulant.edges"
+        path.write_text(edge_list_text(g))
+        code, out, err = run_cli(["graph-info", path])
+        assert code == 2 and out == "" and message in err
 
 
 class TestDefinitionPath:
