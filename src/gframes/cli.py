@@ -174,38 +174,35 @@ def _fmt_float(x) -> str:
 
 
 #: Renderers of the built-in scalars that fill reports, keyed by exact type;
-#: anything else (containers, numpy scalars, errors) goes through render_json.
+#: numpy scalars, which subclass none of these or only some, reach the
+#: isinstance branches of render_json.
 _SCALARS = {bool: lambda v: "true" if v else "false", int: str, float: _fmt_float, str: json.dumps}
-
-
-def _render_item(value, indent: int) -> str:
-    scalar = _SCALARS.get(type(value))
-    return scalar(value) if scalar is not None else render_json(value, indent)
 
 
 def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 12 significant
     digits, no locale or platform dependence."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f"{pad}  {json.dumps(str(key))}: {_render_item(value, indent + 1)}"
+            f"{pad}  {json.dumps(str(key))}: {render_json(value, indent + 1)}"
             for key, value in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        items = [_render_item(value, indent + 1) for value in obj]
+        items = [render_json(value, indent + 1) for value in obj]
         flat = "[" + ", ".join(items) + "]"
         if "\n" not in flat and len(flat) + 2 * indent <= 100:
             return flat
         inner = ",\n".join(f"{pad}  {item}" for item in items)
         return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):

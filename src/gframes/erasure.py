@@ -195,14 +195,17 @@ def canonical_products(bundle: GraphFrameBundle) -> np.ndarray:
     return f_norms * h_norms
 
 
-def lambda1_set(bundle: GraphFrameBundle, products: Optional[np.ndarray] = None) -> tuple:
-    """Sorted vertices whose canonical product attains the maximum, with
-    products within a relative 1e-9 of it counted as tied (the tie rule of
-    :func:`d_r`). ``products`` defaults to :func:`canonical_products`."""
-    if products is None:
-        products = canonical_products(bundle)
+def _argmax_ties(products: np.ndarray) -> tuple:
+    """Sorted indices whose product is within a relative 1e-9 of the maximum."""
     top = float(products.max())
     return tuple(int(v) for v in np.flatnonzero(products >= top * (1.0 - _TIE_TOL)))
+
+
+def lambda1_set(bundle: GraphFrameBundle) -> tuple:
+    """Sorted vertices whose canonical product attains the maximum, with
+    products within a relative 1e-9 of it counted as tied (the tie rule of
+    :func:`d_r`)."""
+    return _argmax_ties(canonical_products(bundle))
 
 
 def _constancy(products: np.ndarray) -> ConstancyCertificate:
@@ -218,12 +221,15 @@ def constancy_certificate(bundle: GraphFrameBundle) -> ConstancyCertificate:
     return _constancy(canonical_products(bundle))
 
 
-def non_optimality_witness(bundle: GraphFrameBundle,
-                           lambda1: Optional[tuple] = None) -> Optional[NonOptimalityWitness]:
+def non_optimality_witness(bundle: GraphFrameBundle) -> Optional[NonOptimalityWitness]:
     """Witness that the canonical dual is not optimal for one erasure, or
     ``None`` when the argmax vectors are dependent and no such certificate
-    exists down this route. ``lambda1`` defaults to :func:`lambda1_set`."""
-    vertices = lambda1_set(bundle) if lambda1 is None else lambda1
+    exists down this route."""
+    return _witness(bundle, lambda1_set(bundle))
+
+
+def _witness(bundle: GraphFrameBundle, vertices: tuple) -> Optional[NonOptimalityWitness]:
+    """:func:`non_optimality_witness` for the argmax set ``vertices``."""
     sub = bundle.frame.synthesis[:, list(vertices)]
     if numerical_rank(sub) < len(vertices):
         return None
@@ -591,7 +597,7 @@ def canonical_verdict(bundle: GraphFrameBundle) -> ErasureReport:
     norms = _canonical_norms(bundle)
     products = norms[0] * norms[1]
     d1 = float(products.max())
-    lam1 = lambda1_set(bundle, products)
+    lam1 = _argmax_ties(products)
     certificate = _constancy(products)
     report = dict(
         d1_canonical=d1,
@@ -615,7 +621,7 @@ def canonical_verdict(bundle: GraphFrameBundle) -> ErasureReport:
         return ErasureReport(verdict=VERDICT_UNIQUE_ALL, verdict_basis=basis, **report)
 
     if bundle.graph.is_connected:
-        witness = non_optimality_witness(bundle, lam1)
+        witness = _witness(bundle, lam1)
         if witness is None:
             raise RuntimeError(
                 "connected graph with non-constant products must yield a witness; this is a bug"

@@ -130,19 +130,33 @@ def numerical_rank(m, tol: float = 1e-8) -> Union[int, np.ndarray]:
     return int(ranks) if a.ndim == 2 else ranks
 
 
+def _max_abs_row_sum(m_int: np.ndarray) -> int:
+    """Largest absolute row sum of an int64 matrix, exact as a Python int.
+
+    With e the largest entry magnitude, every row sum is at most e * n, so
+    when that fits in int64 numpy takes it (no entry is then the most
+    negative int64, whose ``abs`` wraps); otherwise it is summed in Python ints.
+    """
+    if m_int.size == 0:
+        return 0
+    e = max(int(m_int.max()), -int(m_int.min()))
+    if e * m_int.shape[1] <= _INT64_MAX:
+        return int(np.abs(m_int).sum(axis=1).max())
+    return max(sum(map(abs, row)) for row in m_int.tolist())
+
+
 def _exact_power_diagonals(m_int: np.ndarray, p_max: int) -> Iterator[list]:
     """Yield the diagonals of m, m^2, ..., m^p_max for an int64 matrix m in
     exact integer arithmetic, one power at a time, so a caller can stop early.
 
-    The route is chosen once per call from r, the largest absolute row sum,
-    taken in Python ints because ``abs`` of the most negative int64 wraps.
-    Every entry of m^p, and every partial sum that forms one, is at most
-    r^p in magnitude, so when r^p_max fits in int64 the powers are int64
+    The route is chosen once per call from r, the largest absolute row sum
+    (:func:`_max_abs_row_sum`). Every entry of m^p, and every partial sum
+    that forms one, is at most r^p in magnitude, so when r^p_max fits in int64 the powers are int64
     matrix products and cannot overflow. Otherwise entries are kept as
     arbitrary-precision ints but must stay inside the signed 64-bit range;
     exceeding it raises OverflowError rather than ever wrapping around.
     """
-    r = max((sum(map(abs, row)) for row in m_int.tolist()), default=0)
+    r = _max_abs_row_sum(m_int)
     if r**p_max <= _INT64_MAX:
         power = m_int
         for p in range(1, p_max + 1):

@@ -341,13 +341,14 @@ class TestRenderJson:
     def test_scalars_in_lists_and_dicts(self):
         report = {"flags": [True, False], "ints": [1, np.int64(-2)],
                   "floats": [0.1, np.float64(1 / 3), 2.0, -0.0, 1e300],
-                  "names": ["a", "b\"c"], "nested": [[1, 2.5], {"x": True}], "empty": []}
+                  "names": ["a", "b\"c", np.str_("d")],
+                  "nested": [[1, 2.5], {"x": True}], "empty": []}
         assert render_json(report) == "\n".join([
             "{",
             '  "flags": [true, false],',
             '  "ints": [1, -2],',
             '  "floats": [0.1, 0.333333333333, 2, -0, 1e+300],',
-            '  "names": ["a", "b\\"c"],',
+            '  "names": ["a", "b\\"c", "d"],',
             '  "nested": [',
             "    [1, 2.5],",
             "    {",

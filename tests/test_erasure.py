@@ -295,15 +295,15 @@ class TestNonOptimalityWitness:
 
 class TestProductsComputedOnce:
     @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
-    def test_passed_values_change_nothing(self, name):
+    def test_verdict_matches_public_helpers(self, name):
         b = bundle_of(name)
-        lam1 = lambda1_set(b)
-        assert lambda1_set(b, canonical_products(b)) == lam1
-        alone, passed = non_optimality_witness(b), non_optimality_witness(b, lam1)
-        assert (alone is None) == (passed is None)
-        if alone is not None:
-            assert alone.vertices == passed.vertices
-            assert alone.dependence_residual == passed.dependence_residual
+        report = canonical_verdict(b)
+        assert np.array_equal(report.per_vertex_products, canonical_products(b))
+        assert report.lambda1 == lambda1_set(b)
+        if report.verdict_basis["certificate"].endswith("global_dependence"):
+            witness = non_optimality_witness(b)
+            assert report.verdict_basis["witness_vertices"] == list(witness.vertices)
+            assert report.verdict_basis["dependence_residual"] == witness.dependence_residual
 
     @pytest.mark.parametrize("name,certificate", [
         ("figure1", "constant_component_attains_max"),

@@ -16,7 +16,7 @@ from gframes import (
     numerical_rank,
     spectral_norm,
 )
-from gframes.linalg import _exact_power_diagonals
+from gframes.linalg import _exact_power_diagonals, _max_abs_row_sum
 
 from _oracles import (
     bareiss_det,
@@ -218,10 +218,15 @@ class TestMatrixPowerDiagonal:
 _INT64_MAX = 2**63 - 1
 
 
+def python_row_sum(m) -> int:
+    """Largest absolute row sum of m, summed in Python ints."""
+    return max(sum(abs(int(x)) for x in row) for row in np.asarray(m).tolist())
+
+
 def int64_reach(m) -> int:
     """Largest p with r^p <= 2^63 - 1, r the largest absolute row sum of m
     (capped at 200 for r <= 1): the powers the int64 census route covers."""
-    r = max(sum(abs(int(x)) for x in row) for row in np.asarray(m).tolist())
+    r = python_row_sum(m)
     p = 0
     while p < 200 and r ** (p + 1) <= _INT64_MAX:
         p += 1
@@ -246,7 +251,34 @@ LAPLACIAN_GRAPHS = CENSUS_GRAPHS[:12] + [
     (f"random{i}", random_connected_graph(np.random.default_rng(40 + i))) for i in range(6)]
 
 
+# the matrices the census tests put at and around the int64 bound, and
+# entries whose row sums (or whose abs) leave int64
+BOUND_MATRICES = [
+    [[2**20, 2**20 - 1], [2**20 - 1, 2**20]],
+    [[2**20, -(2**20 - 1)], [-(2**20 - 1), 2**20]],
+    [[2**21]],
+    [[2**20, -(2**20)], [-(2**20), 2**20]],
+    [[-(2**63), 0], [0, -(2**63)]],
+    [[-(2**63), 1], [1, -(2**63)]],
+    [[2**63 - 1]],
+    [[2**63 - 1, 1], [1, 0]],
+    [[2**62, -(2**62)], [-(2**62), 2**62]],
+    [[(2**63 - 1) // 3] * 3, [-((2**63 - 1) // 3)] * 3, [0, 0, 0]],
+    [[(2**63 - 1) // 3 + 1] * 3, [0, 0, 0], [0, 0, 0]],
+]
+
+
 class TestExactCensusRoutes:
+    @pytest.mark.parametrize("m", BOUND_MATRICES + [
+        laplacian_matrix(g) for _, g in LAPLACIAN_GRAPHS])
+    def test_row_sum_bound_matches_python_ints(self, m):
+        m = np.asarray(m, dtype=np.int64)
+        assert _max_abs_row_sum(m) == python_row_sum(m)
+
+    def test_empty_matrix_has_no_walks(self):
+        assert _max_abs_row_sum(np.zeros((0, 0), dtype=np.int64)) == 0
+        assert matrix_power_diagonal(np.zeros((0, 0)), 3) == []
+
     @pytest.mark.parametrize("g", [g for _, g in CENSUS_GRAPHS],
                              ids=[label for label, _ in CENSUS_GRAPHS])
     def test_int64_route_matches_object_products(self, g):
