@@ -15,7 +15,6 @@ from gframes import (
     degree_sequence,
     fixtures,
     laplacian_matrix,
-    unitary_equivalence_witness,
     verify_dual,
     canonical_dual,
     dual_family_member,
@@ -39,11 +38,13 @@ for members in bundle.graph.components:
     total = frame.synthesis[:, list(members)].sum(axis=1)
     print(f"component {members} columns sum to zero: |sum| = {np.linalg.norm(total):.2e}")
 
-# Unitary equivalence: rotate the frame, then recover the rotation.
+# Unitary equivalence: rotate the frame, then recover the rotation as the
+# polar factor of synthesis @ rotated^T (orthogonal Procrustes).
 rng = np.random.default_rng(1)
 q, _ = np.linalg.qr(rng.standard_normal((frame.dim, frame.dim)))
 rotated = Frame(q @ frame.synthesis)
-witness = unitary_equivalence_witness(frame, rotated)
+u, _, vt = np.linalg.svd(frame.synthesis @ rotated.synthesis.T)
+witness = u @ vt
 print("\nrecovered the rotation between two realizations:",
       np.abs(witness @ rotated.synthesis - frame.synthesis).max())
 

@@ -8,7 +8,7 @@ component's vectors carry their own zero-sum dependence.
 
 import numpy as np
 
-from gframes import build_lg_frame, fixtures, is_full_spark, spark, spark_via_components
+from gframes import build_lg_frame, fixtures, spark, spark_via_components
 
 for name in ("k3", "c4", "petersen", "figure2", "figure1", "two_triangles"):
     g = fixtures.FIXTURES[name]()
@@ -16,7 +16,7 @@ for name in ("k3", "c4", "petersen", "figure2", "figure1", "two_triangles"):
     brute = spark(bundle.frame)
     formula = spark_via_components(g)
     print(f"{name:14s} spark: brute force {brute}, component minimum {formula}, "
-          f"full spark: {is_full_spark(bundle.frame)} "
+          f"full spark: {brute == bundle.frame.dim + 1} "
           f"(dim {bundle.frame.dim}, count {bundle.frame.count})")
 
 # The dependence witness on the 7-vertex fixture: the triangle's three

@@ -19,14 +19,11 @@ import numpy as np
 from gframes import (
     build_lg_frame,
     canonical_dual,
-    canonical_products,
     canonical_verdict,
     d1_fast,
     d_r,
     dual_family_member,
-    error_operator,
     fixtures,
-    lambda1_set,
     perturbation_search,
     verify_dual,
 )
@@ -42,12 +39,14 @@ for name in ("k3", "figure1", "figure2"):
     print(f"  verdict: {report.verdict}  [{report.verdict_basis['certificate']}]")
 
 # The error operator behind those numbers: erase one coefficient and the
-# reconstruction misses by a rank-one operator whose norm is the product.
+# reconstruction misses by the rank-one operator h_i f_i^T, whose norm is
+# the product.
 bundle = build_lg_frame(fixtures.cubic8())
+report = canonical_verdict(bundle)
 dual = canonical_dual(bundle)
-op = error_operator(bundle.frame, dual, [1])
+op = np.outer(dual[:, 1], bundle.frame.synthesis[:, 1])
 print("\nerasing vertex 1 of cubic8: operator norm",
-      f"{np.linalg.norm(op, 2):.6f} vs product {canonical_products(bundle)[1]:.6f}")
+      f"{np.linalg.norm(op, 2):.6f} vs product {report.per_vertex_products[1]:.6f}")
 value, worst = d_r(bundle.frame, dual, 2)
 print(f"worst pair of erasures: D^2 = {value:.6f} at columns {worst}")
 
@@ -58,4 +57,4 @@ print(f"\nsearch over shifts: canonical D^1 {result.canonical_d1:.6f}"
 best = dual_family_member(bundle, result.shifts)
 print("best dual is still a dual, residual:", verify_dual(bundle.frame, best))
 print("its products:", np.round(d1_fast(bundle.frame, best)[1], 6))
-print("argmax set of the canonical dual:", lambda1_set(bundle))
+print("argmax set of the canonical dual:", report.lambda1)

@@ -21,15 +21,12 @@ from .graphs import (
 from .linalg import (
     SymmetricSpectrum,
     eigh_symmetric,
-    generalized_vandermonde_det,
-    matrix_power_diagonal,
     moore_penrose,
     numerical_rank,
     spectral_norm,
 )
 from .walkreg import (
     WalkRegularityReport,
-    equal_diagonal_check,
     is_walk_regular,
     is_walk_regular_definition,
 )
@@ -39,10 +36,8 @@ from .frames import (
     build_lg_frame,
     canonical_dual,
     dual_family_member,
-    is_full_spark,
     spark,
     spark_via_components,
-    unitary_equivalence_witness,
     verify_dual,
 )
 from .erasure import (
@@ -54,15 +49,10 @@ from .erasure import (
     ErasureReport,
     NonOptimalityWitness,
     SearchResult,
-    canonical_products,
     canonical_verdict,
-    constancy_certificate,
     d1_fast,
     d_r,
     d_r_lower_bound,
-    error_operator,
-    lambda1_set,
-    non_optimality_witness,
     perturbation_search,
 )
 from . import fixtures
@@ -73,19 +63,15 @@ __all__ = [
     "ConvergenceError", "EdgeListError", "EnumerationGuardError",
     "Graph", "adjacency_matrix", "degree_sequence", "is_regular",
     "laplacian_matrix", "parse_edge_list", "relabel_by_component",
-    "SymmetricSpectrum", "eigh_symmetric", "generalized_vandermonde_det",
-    "matrix_power_diagonal", "moore_penrose", "numerical_rank", "spectral_norm",
-    "WalkRegularityReport", "equal_diagonal_check", "is_walk_regular",
-    "is_walk_regular_definition",
+    "SymmetricSpectrum", "eigh_symmetric", "moore_penrose", "numerical_rank",
+    "spectral_norm",
+    "WalkRegularityReport", "is_walk_regular", "is_walk_regular_definition",
     "Frame", "GraphFrameBundle", "build_lg_frame", "canonical_dual",
-    "dual_family_member", "is_full_spark", "spark", "spark_via_components",
-    "unitary_equivalence_witness", "verify_dual",
+    "dual_family_member", "spark", "spark_via_components", "verify_dual",
     "VERDICT_INCONCLUSIVE", "VERDICT_NOT_OD", "VERDICT_OD_SINGLE",
     "VERDICT_UNIQUE_ALL", "ConstancyCertificate", "ErasureReport",
-    "NonOptimalityWitness", "SearchResult", "canonical_products",
-    "canonical_verdict", "constancy_certificate", "d1_fast", "d_r",
-    "d_r_lower_bound", "error_operator", "lambda1_set",
-    "non_optimality_witness", "perturbation_search",
+    "NonOptimalityWitness", "SearchResult", "canonical_verdict", "d1_fast",
+    "d_r", "d_r_lower_bound", "perturbation_search",
     "fixtures",
     "__version__",
 ]

@@ -87,7 +87,9 @@ class SearchResult:
 @dataclass(frozen=True, eq=False)
 class ErasureReport:
     """Single-erasure diagnostics of the canonical dual, in vertex order,
-    plus the optimality verdict and the certificate behind it."""
+    plus the optimality verdict and the certificate behind it: the products
+    ``|f_i| * |S^-1 f_i|``, their argmax set ``lambda1`` (products within a
+    relative 1e-9 of the maximum tie) and their ``constancy``."""
 
     d1_canonical: float
     per_vertex_products: np.ndarray
@@ -102,18 +104,6 @@ def _dual_matrix(frame: Frame, dual) -> np.ndarray:
     if h.shape != frame.synthesis.shape:
         raise ValueError(f"expected dual of shape {frame.synthesis.shape}, got {h.shape}")
     return h
-
-
-def error_operator(frame: Frame, dual, indices) -> np.ndarray:
-    """The reconstruction error operator for the erased coefficient set:
-    the sum of ``h_i f_i^T`` over the given column indices."""
-    h = _dual_matrix(frame, dual)
-    subset = sorted(set(int(i) for i in indices))
-    if subset and not (0 <= subset[0] and subset[-1] < frame.count):
-        raise IndexError(f"erasure indices out of range [0, {frame.count})")
-    if not subset:
-        return np.zeros((frame.dim, frame.dim))
-    return h[:, subset] @ frame.synthesis[:, subset].T
 
 
 def d1_fast(frame: Frame, dual) -> tuple:
@@ -189,25 +179,6 @@ def _canonical_norms(bundle: GraphFrameBundle) -> tuple:
             np.linalg.norm(bundle.canonical, axis=0))
 
 
-def canonical_products(bundle: GraphFrameBundle) -> np.ndarray:
-    """Per-vertex products ``|f_i| * |S^-1 f_i|``."""
-    f_norms, h_norms = _canonical_norms(bundle)
-    return f_norms * h_norms
-
-
-def _argmax_ties(products: np.ndarray) -> tuple:
-    """Sorted indices whose product is within a relative 1e-9 of the maximum."""
-    top = float(products.max())
-    return tuple(int(v) for v in np.flatnonzero(products >= top * (1.0 - _TIE_TOL)))
-
-
-def lambda1_set(bundle: GraphFrameBundle) -> tuple:
-    """Sorted vertices whose canonical product attains the maximum, with
-    products within a relative 1e-9 of it counted as tied (the tie rule of
-    :func:`d_r`)."""
-    return _argmax_ties(canonical_products(bundle))
-
-
 def _constancy(products: np.ndarray) -> ConstancyCertificate:
     """Whether ``products`` are constant: their spread is at most 1e-9 times
     ``max(1, largest product)``."""
@@ -215,21 +186,10 @@ def _constancy(products: np.ndarray) -> ConstancyCertificate:
     return ConstancyCertificate(spread <= _TIE_TOL * max(1.0, float(products.max())), spread)
 
 
-def constancy_certificate(bundle: GraphFrameBundle) -> ConstancyCertificate:
-    """Whether the canonical products are constant across vertices, by the
-    rule of :func:`_constancy`."""
-    return _constancy(canonical_products(bundle))
-
-
-def non_optimality_witness(bundle: GraphFrameBundle) -> Optional[NonOptimalityWitness]:
-    """Witness that the canonical dual is not optimal for one erasure, or
-    ``None`` when the argmax vectors are dependent and no such certificate
-    exists down this route."""
-    return _witness(bundle, lambda1_set(bundle))
-
-
 def _witness(bundle: GraphFrameBundle, vertices: tuple) -> Optional[NonOptimalityWitness]:
-    """:func:`non_optimality_witness` for the argmax set ``vertices``."""
+    """Witness that the canonical dual is not optimal for one erasure, for
+    the argmax set ``vertices``, or ``None`` when those vectors are
+    dependent and no such certificate exists down this route."""
     sub = bundle.frame.synthesis[:, list(vertices)]
     if numerical_rank(sub) < len(vertices):
         return None
@@ -356,25 +316,18 @@ class _ShiftState:
         """``out²``: the largest squared value over the components other than ``c``."""
         return max((top for j, top in enumerate(self.top) if j != c), default=0.0)
 
-    def coordinate_probe(self, c: int, d: int):
-        """The squared objective with ``x[c, d]`` set to ``t``, as a function
-        of ``t``: only row ``d`` of component ``c``'s columns changes, so it
-        is ``max(out², max_i w_i²(sq_i − h_di² + (a0_di + t)²))``, with
-        ``out²`` the largest value over the other components."""
-        out2 = self._outside(c)
-        w2, a = self.w2[c], self.a0[c][d]
-        rest = self.sq[c] - self.h[c][d] ** 2
-        return lambda t: max(out2, (w2 * (rest + (a + t) ** 2)).max())
-
     def coordinate_minimiser(self, c: int, d: int, radius: float) -> tuple:
-        """The exact minimiser ``t`` of ``coordinate_probe(c, d)`` on the
-        bracket ``[x − radius, x + radius]`` around ``x = x[c, d]``, and the
-        probe's value there: ``(t, value)``.
+        """The exact minimiser ``t`` of the squared objective with ``x[c, d]``
+        set to ``t``, on the bracket ``[x − radius, x + radius]`` around
+        ``x = x[c, d]``, and the objective there: ``(t, value)``. Only row
+        ``d`` of component ``c``'s columns changes, so the objective is
+        ``max(out², max_i w_i²(sq_i − h_di² + (a0_di + t)²))``, with ``out²``
+        the largest value over the other components.
 
         With ``t = x + s`` column ``i`` is the parabola ``w_i²(sq_i +
         2h_di·s + s²)``, whose upper envelope :func:`_envelope_minimiser`
         minimises. Where ``out²`` dominates, every point of its plateau
-        minimises the probe; the one returned also minimises the
+        minimises the objective; the one returned also minimises the
         component's own maximum.
         """
         w2 = self.w2[c]
@@ -399,13 +352,6 @@ def _line_quadratics(h: np.ndarray, w2: np.ndarray, u: np.ndarray) -> tuple:
     two_beta = 2.0 * w2 * (h * u).sum(axis=0)
     gamma = w2 * (u * u).sum(axis=0)
     return alpha, two_beta, gamma
-
-
-def _line_probe(h: np.ndarray, w2: np.ndarray, u: np.ndarray):
-    """The squared objective along the dual ``h + t·u`` as a function of
-    ``t``: one O(n) expression in :func:`_line_quadratics`'s coefficients."""
-    alpha, two_beta, gamma = _line_quadratics(h, w2, u)
-    return lambda t: (alpha + t * (two_beta + t * gamma)).max()
 
 
 def _envelope_minimiser(c0, c1, c2, lo: float, hi: float) -> tuple:
@@ -597,7 +543,7 @@ def canonical_verdict(bundle: GraphFrameBundle) -> ErasureReport:
     norms = _canonical_norms(bundle)
     products = norms[0] * norms[1]
     d1 = float(products.max())
-    lam1 = _argmax_ties(products)
+    lam1 = tuple(int(v) for v in np.flatnonzero(products >= d1 * (1.0 - _TIE_TOL)))
     certificate = _constancy(products)
     report = dict(
         d1_canonical=d1,

@@ -16,9 +16,9 @@ frame adds one shift vector per component to it
 of the duality identity for any matrix.
 
 The frame is determined only up to an orthogonal change of basis, so all
-diagnostics exposed by this package are basis invariants;
-:func:`unitary_equivalence_witness` recovers the basis change between two
-realizations when one is needed explicitly.
+diagnostics exposed by this package are basis invariants. The frame is
+full spark, every ``dim``-subset a basis, exactly when
+``spark(frame) == frame.dim + 1``.
 """
 
 from __future__ import annotations
@@ -207,26 +207,6 @@ def verify_dual(frame: Frame, dual_matrix) -> float:
     return float(np.abs(h @ frame.synthesis.T - np.eye(k)).max())
 
 
-def unitary_equivalence_witness(f1: Frame, f2: Frame, gram_tol: float = 1e-8,
-                                residual_tol: float = 1e-7):
-    """Orthogonal ``U`` with ``U @ f2.synthesis == f1.synthesis``, or ``None``.
-
-    Frames with equal Gramians differ by an orthogonal map; the witness is
-    the polar factor of ``synthesis1 @ synthesis2^T`` (orthogonal
-    Procrustes). A rank-deficient cross product leaves freedom on the
-    orthogonal complement, which the SVD pairing fixes deterministically.
-    """
-    if f1.dim != f2.dim or f1.count != f2.count:
-        raise ValueError("frames must share dim and count")
-    if float(np.abs(f1.gramian - f2.gramian).max()) > gram_tol:
-        return None
-    u, _, vt = np.linalg.svd(f1.synthesis @ f2.synthesis.T)
-    witness = u @ vt
-    if float(np.abs(witness @ f2.synthesis - f1.synthesis).max()) > residual_tol:
-        return None
-    return witness
-
-
 def _subset_budget(n: int, size_cap: int) -> int:
     return sum(math.comb(n, s) for s in range(1, size_cap + 1))
 
@@ -270,7 +250,3 @@ def spark_via_components(g: Graph) -> int:
     _reject_isolated_vertices(g)
     return min(len(comp) for comp in g.components)
 
-
-def is_full_spark(frame: Frame, rank_tol: float = 1e-8, guard: int = 2_000_000) -> bool:
-    """Whether every ``dim``-subset of frame vectors is a basis."""
-    return spark(frame, rank_tol, guard) == frame.dim + 1

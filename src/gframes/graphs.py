@@ -10,6 +10,7 @@ rounding error originates in this module.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +27,8 @@ class Graph:
 
     Edges are stored as a frozenset of ``(u, v)`` pairs with ``u < v``;
     self-loops are rejected and duplicates collapse by set semantics.
+    Vertex labels must be integers (numpy integers included); any other
+    label raises ``ValueError`` rather than being truncated.
     """
 
     n: int
@@ -37,7 +40,10 @@ class Graph:
         normalized = set()
         for edge in self.edges:
             u, v = edge
-            u, v = int(u), int(v)
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"edge {edge!r} has a non-integer vertex label") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):

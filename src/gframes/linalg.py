@@ -1,4 +1,5 @@
-"""Dense symmetric eigensolver and the matrix utilities built on it.
+"""Dense symmetric eigensolver and the matrix utilities around it: the
+pseudoinverse, the spectral norm and the numerical rank.
 
 The eigensolver is LAPACK's symmetric driver (``np.linalg.eigh``) wrapped
 in a deterministic contract: stable descending eigenvalue sort, a sign
@@ -16,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .exceptions import ConvergenceError
-
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,98 +127,3 @@ def numerical_rank(m, tol: float = 1e-8) -> Union[int, np.ndarray]:
     svals = np.linalg.svd(a, compute_uv=False)
     ranks = np.sum(svals > tol * np.maximum(1.0, svals[..., :1]), axis=-1)
     return int(ranks) if a.ndim == 2 else ranks
-
-
-def _max_abs_row_sum(m_int: np.ndarray) -> int:
-    """Largest absolute row sum of an int64 matrix, exact as a Python int.
-
-    With e the largest entry magnitude, every row sum is at most e * n, so
-    when that fits in int64 numpy takes it (no entry is then the most
-    negative int64, whose ``abs`` wraps); otherwise it is summed in Python ints.
-    """
-    if m_int.size == 0:
-        return 0
-    e = max(int(m_int.max()), -int(m_int.min()))
-    if e * m_int.shape[1] <= _INT64_MAX:
-        return int(np.abs(m_int).sum(axis=1).max())
-    return max(sum(map(abs, row)) for row in m_int.tolist())
-
-
-def _exact_power_diagonals(m_int: np.ndarray, p_max: int) -> Iterator[list]:
-    """Yield the diagonals of m, m^2, ..., m^p_max for an int64 matrix m in
-    exact integer arithmetic, one power at a time, so a caller can stop early.
-
-    The route is chosen once per call from r, the largest absolute row sum
-    (:func:`_max_abs_row_sum`). Every entry of m^p, and every partial sum
-    that forms one, is at most r^p in magnitude, so when r^p_max fits in int64 the powers are int64
-    matrix products and cannot overflow. Otherwise entries are kept as
-    arbitrary-precision ints but must stay inside the signed 64-bit range;
-    exceeding it raises OverflowError rather than ever wrapping around.
-    """
-    r = _max_abs_row_sum(m_int)
-    if r**p_max <= _INT64_MAX:
-        power = m_int
-        for p in range(1, p_max + 1):
-            if p > 1:
-                power = power @ m_int
-            yield power.diagonal().tolist()
-        return
-    base = m_int.astype(object)
-    power = base
-    for p in range(1, p_max + 1):
-        if p > 1:
-            power = power @ base
-        flat = [abs(x) for x in power.ravel().tolist()]
-        if flat and max(flat) > _INT64_MAX:
-            raise OverflowError(f"integer matrix power overflows 64-bit range at power {p}")
-        yield [int(x) for x in power.diagonal().tolist()]
-
-
-def matrix_power_diagonal(m, p: int, exact: Optional[bool] = None) -> list:
-    """Diagonal of ``m^p`` by repeated multiplication.
-
-    Integer-valued input is raised exactly by default (closed-walk counts
-    are integers) and a 64-bit overflow raises rather than wrapping; pass
-    ``exact=False`` to force float arithmetic instead. ``exact=True`` on a
-    non-integral matrix is an error.
-    """
-    a = _require_square(m)
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"power must be a positive integer, got {p!r}")
-    integral = bool(np.array_equal(a, np.rint(a)))
-    if exact is None:
-        exact = integral
-    elif exact and not integral:
-        raise ValueError("exact integer powers need an integer-valued matrix")
-    if exact:
-        try:
-            # casting a float at or past 2^63 to int64 is undefined, so refuse it first
-            if a.size and float(np.abs(a).max()) > _INT64_MAX:
-                raise OverflowError("integer matrix power overflows 64-bit range at power 1")
-            for diag in _exact_power_diagonals(np.rint(a).astype(np.int64), p):
-                pass
-            return diag
-        except OverflowError as exc:
-            raise OverflowError(
-                f"{exc}; pass exact=False for inexact float arithmetic"
-            ) from None
-    power = a.copy()
-    for _ in range(p - 1):
-        power = power @ a
-    return [float(x) for x in power.diagonal()]
-
-
-def generalized_vandermonde_det(values) -> float:
-    """Closed form for det of the matrix with rows (a_1^p, ..., a_n^p), p = 1..n:
-    the product of all a_i times the product of all pairwise differences a_i - a_j, i > j."""
-    a = np.asarray(values, dtype=float)
-    if a.ndim != 1 or a.size < 1:
-        raise ValueError("expected a nonempty 1-D sequence")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("values must be finite")
-    det = float(np.prod(a))
-    n = a.size
-    for i in range(n):
-        for j in range(i):
-            det *= a[i] - a[j]
-    return det

@@ -5,8 +5,10 @@ library under test: determinants by fraction-free elimination, closed
 walks by explicit enumeration or unbounded Python-int matrix products,
 symmetric eigendecompositions by cyclic Jacobi sweeps, ranks and norms by
 numpy's LAPACK bindings (the spark by one SVD per column subset),
-minimum-norm points by Frank-Wolfe, convex minima by trisection, and
-frames from hand-entered block-structured eigenbases.
+minimum-norm points by Frank-Wolfe, convex minima by trisection, error
+operators and basis changes by explicit k x k matrices (the orthogonal
+Procrustes witness), the generalized Vandermonde determinant by its closed
+form, and frames from hand-entered block-structured eigenbases.
 """
 
 from __future__ import annotations
@@ -187,6 +189,49 @@ def spark_by_subsets(frame: Frame, rank_tol: float = 1e-8) -> int:
             if np.sum(svals > rank_tol * max(1.0, float(svals[0]))) < s:
                 return s
     return k + 1
+
+
+def error_operator(frame: Frame, dual, indices) -> np.ndarray:
+    """The reconstruction error operator for the erased coefficient set:
+    the sum of ``h_i f_i^T`` over the given column indices, as a k x k matrix."""
+    h = np.asarray(dual, dtype=float)
+    subset = sorted(set(int(i) for i in indices))
+    if subset and not (0 <= subset[0] and subset[-1] < frame.count):
+        raise IndexError(f"erasure indices out of range [0, {frame.count})")
+    if not subset:
+        return np.zeros((frame.dim, frame.dim))
+    return h[:, subset] @ frame.synthesis[:, subset].T
+
+
+def unitary_equivalence_witness(f1: Frame, f2: Frame, gram_tol: float = 1e-8,
+                                residual_tol: float = 1e-7):
+    """Orthogonal ``U`` with ``U @ f2.synthesis == f1.synthesis``, or ``None``.
+
+    Frames with equal Gramians differ by an orthogonal map; the witness is
+    the polar factor of ``synthesis1 @ synthesis2^T`` (orthogonal
+    Procrustes). A rank-deficient cross product leaves freedom on the
+    orthogonal complement, which the SVD pairing fixes deterministically.
+    """
+    if f1.dim != f2.dim or f1.count != f2.count:
+        raise ValueError("frames must share dim and count")
+    if float(np.abs(f1.gramian - f2.gramian).max()) > gram_tol:
+        return None
+    u, _, vt = np.linalg.svd(f1.synthesis @ f2.synthesis.T)
+    witness = u @ vt
+    if float(np.abs(witness @ f2.synthesis - f1.synthesis).max()) > residual_tol:
+        return None
+    return witness
+
+
+def generalized_vandermonde_det(values) -> float:
+    """Closed form for det of the matrix with rows (a_1^p, ..., a_n^p), p = 1..n:
+    the product of all a_i times the product of all pairwise differences a_i - a_j, i > j."""
+    a = np.asarray(values, dtype=float)
+    det = float(np.prod(a))
+    for i in range(a.size):
+        for j in range(i):
+            det *= a[i] - a[j]
+    return det
 
 
 def min_norm_in_hull_frank_wolfe(points, iterations: int = 400) -> tuple:

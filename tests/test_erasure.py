@@ -17,21 +17,15 @@ from gframes import (
     VERDICT_UNIQUE_ALL,
     build_lg_frame,
     canonical_dual,
-    canonical_products,
     canonical_verdict,
-    constancy_certificate,
     d1_fast,
     d_r,
     d_r_lower_bound,
     dual_family_member,
-    error_operator,
     fixtures,
     is_regular,
     is_walk_regular,
-    lambda1_set,
-    non_optimality_witness,
     perturbation_search,
-    unitary_equivalence_witness,
 )
 
 from gframes import erasure
@@ -40,10 +34,12 @@ from _oracles import (
     alt_frame_cubic8,
     alt_frame_two_component,
     edge_list_text,
+    error_operator,
     min_norm_in_hull_frank_wolfe,
     random_connected_graph,
     run_cli,
     trisect,
+    unitary_equivalence_witness,
 )
 
 SQRT10_OVER_4 = np.sqrt(10.0) / 4.0
@@ -74,13 +70,15 @@ class TestOneCanonicalPath:
     @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
     def test_products_equal_d1_fast_on_fixtures(self, name):
         b = bundle_of(name)
-        assert np.array_equal(canonical_products(b), d1_fast(b.frame, canonical_dual(b))[1])
+        assert np.array_equal(canonical_verdict(b).per_vertex_products,
+                              d1_fast(b.frame, canonical_dual(b))[1])
 
     def test_products_equal_d1_fast_on_random_graphs(self):
         rng = np.random.default_rng(271)
         for _ in range(50):
             b = build_lg_frame(random_connected_graph(rng, 6, 30))
-            assert np.array_equal(canonical_products(b), d1_fast(b.frame, canonical_dual(b))[1])
+            assert np.array_equal(canonical_verdict(b).per_vertex_products,
+                                  d1_fast(b.frame, canonical_dual(b))[1])
 
 
 class TestPerComponentOptimality:
@@ -99,16 +97,16 @@ class TestPerComponentOptimality:
                 g = disjoint_union(random_connected_graph(rng, 3, 6),
                                    random_connected_graph(rng, 3, 6))
             b = build_lg_frame(g)
-            products = canonical_products(b)
-            top = set(lambda1_set(b))
+            report = canonical_verdict(b)
+            products = report.per_vertex_products
+            top = set(report.lambda1)
             constant_at_max = any(
                 not top.isdisjoint(members)
                 and np.ptp(products[list(members)]) <= erasure._TIE_TOL * products.max()
                 for members in g.components
             )
             assert perturbation_search(b).improved != constant_at_max, trial
-            verdict = canonical_verdict(b).verdict
-            assert verdict == (VERDICT_OD_SINGLE if constant_at_max else VERDICT_INCONCLUSIVE), trial
+            assert report.verdict == (VERDICT_OD_SINGLE if constant_at_max else VERDICT_INCONCLUSIVE), trial
             outcomes.append(constant_at_max)
         assert any(outcomes) and not all(outcomes)
 
@@ -244,41 +242,40 @@ class TestDR:
 
 class TestLambdaSetAndConstancy:
     def test_two_component_fixture(self):
-        b = bundle_of("figure1")
-        assert lambda1_set(b) == (3, 4, 5, 6)
-        cert = constancy_certificate(b)
-        assert not cert.is_constant
-        assert cert.spread == pytest.approx(SQRT10_OVER_4 - 2.0 / 3.0, abs=1e-9)
+        report = canonical_verdict(bundle_of("figure1"))
+        assert report.lambda1 == (3, 4, 5, 6)
+        assert not report.constancy.is_constant
+        assert report.constancy.spread == pytest.approx(SQRT10_OVER_4 - 2.0 / 3.0, abs=1e-9)
 
     def test_cubic8(self):
-        b = bundle_of("figure2")
-        assert lambda1_set(b) == (1, 4, 6, 7)
-        cert = constancy_certificate(b)
-        assert not cert.is_constant
+        report = canonical_verdict(bundle_of("figure2"))
+        assert report.lambda1 == (1, 4, 6, 7)
+        assert not report.constancy.is_constant
         # sqrt(3) * (0.57606 - 0.546907)
-        assert cert.spread == pytest.approx(0.0504948, abs=1e-6)
+        assert report.constancy.spread == pytest.approx(0.0504948, abs=1e-6)
 
     def test_k3_all_tied(self):
-        b = bundle_of("k3")
-        assert lambda1_set(b) == (0, 1, 2)
-        assert constancy_certificate(b).is_constant
+        report = canonical_verdict(bundle_of("k3"))
+        assert report.lambda1 == (0, 1, 2)
+        assert report.constancy.is_constant
 
     @pytest.mark.parametrize("name", fixtures.WALK_REGULAR)
     def test_walk_regular_fixtures_constant(self, name):
-        assert constancy_certificate(bundle_of(name)).is_constant
+        assert canonical_verdict(bundle_of(name)).constancy.is_constant
 
     def test_products_in_vertex_order(self):
         g = Graph(4, frozenset({(0, 2), (1, 3)}))
-        b = build_lg_frame(g)
-        products = canonical_products(b)
+        products = canonical_verdict(build_lg_frame(g)).per_vertex_products
         # both components are single edges, so all products coincide
         assert np.allclose(products, products[0], atol=1e-12)
 
 
 class TestNonOptimalityWitness:
+    """The witness the verdict builds for its argmax set."""
+
     def test_cubic8_found(self):
         b = bundle_of("figure2")
-        witness = non_optimality_witness(b)
+        witness = erasure._witness(b, canonical_verdict(b).lambda1)
         assert witness is not None
         assert witness.vertices == (1, 4, 6, 7)
         assert np.array_equal(witness.coefficients, np.ones(8))
@@ -286,11 +283,13 @@ class TestNonOptimalityWitness:
 
     def test_k3_absent(self):
         # the argmax set is the whole frame, which is dependent
-        assert non_optimality_witness(bundle_of("k3")) is None
+        b = bundle_of("k3")
+        assert erasure._witness(b, canonical_verdict(b).lambda1) is None
 
     def test_two_component_fixture_absent(self):
         # four 4-cycle columns span only a 3-dimensional block
-        assert non_optimality_witness(bundle_of("figure1")) is None
+        b = bundle_of("figure1")
+        assert erasure._witness(b, canonical_verdict(b).lambda1) is None
 
 
 class TestProductsComputedOnce:
@@ -298,12 +297,17 @@ class TestProductsComputedOnce:
     def test_verdict_matches_public_helpers(self, name):
         b = bundle_of(name)
         report = canonical_verdict(b)
-        assert np.array_equal(report.per_vertex_products, canonical_products(b))
-        assert report.lambda1 == lambda1_set(b)
+        d1, products = d1_fast(b.frame, canonical_dual(b))
+        assert report.d1_canonical == d1
+        assert np.array_equal(report.per_vertex_products, products)
+        top = tuple(int(v) for v in np.flatnonzero(products >= d1 * (1.0 - 1e-9)))
+        assert report.lambda1 == top
+        assert d_r(b.frame, canonical_dual(b), 1)[1] == top[:1]
         if report.verdict_basis["certificate"].endswith("global_dependence"):
-            witness = non_optimality_witness(b)
-            assert report.verdict_basis["witness_vertices"] == list(witness.vertices)
-            assert report.verdict_basis["dependence_residual"] == witness.dependence_residual
+            assert np.linalg.matrix_rank(b.frame.synthesis[:, list(top)]) == len(top)
+            assert report.verdict_basis["witness_vertices"] == list(top)
+            assert report.verdict_basis["dependence_residual"] == float(
+                np.abs(b.frame.synthesis.sum(axis=1)).max())
 
     @pytest.mark.parametrize("name,certificate", [
         ("figure1", "constant_component_attains_max"),
@@ -366,10 +370,10 @@ class TestVerdicts:
         # component has non-constant products, so no certificate applies;
         # od-search, not the verdict, finds the better dual
         g = disjoint_union(fixtures.cubic8(), path(3))
-        report = canonical_verdict(g_bundle := build_lg_frame(g))
+        report = canonical_verdict(build_lg_frame(g))
         assert report.verdict == VERDICT_INCONCLUSIVE
         assert report.verdict_basis == {"certificate": "none"}
-        assert lambda1_set(g_bundle) == (1, 4, 6, 7)
+        assert report.lambda1 == (1, 4, 6, 7)
         file = tmp_path / "cubic8_p3.edges"
         file.write_text(edge_list_text(g))
         code, out, _ = run_cli(["od-search", file, "--trials", "200", "--seed", "3"])
@@ -381,8 +385,9 @@ class TestVerdicts:
     def test_per_vertex_products_match_report(self):
         b = bundle_of("figure2")
         report = canonical_verdict(b)
-        assert np.array_equal(report.per_vertex_products, canonical_products(b))
-        assert report.lambda1 == lambda1_set(b)
+        d1, products = d1_fast(b.frame, canonical_dual(b))
+        assert np.array_equal(report.per_vertex_products, products)
+        assert report.d1_canonical == d1 == pytest.approx(CUBIC8_D1, abs=1e-12)
 
 
 def irregular_graph(rng):
@@ -540,6 +545,24 @@ def probe_bundles():
     return bundles
 
 
+def coordinate_probe(state, c, d):
+    """The squared objective with ``x[c, d]`` set to ``t``, as a function of
+    ``t``: only row ``d`` of component ``c``'s columns changes, so it is
+    ``max(out², max_i w_i²(sq_i − h_di² + (a0_di + t)²))``, with ``out²``
+    the largest value over the other components."""
+    out2 = state._outside(c)
+    w2, a = state.w2[c], state.a0[c][d]
+    rest = state.sq[c] - state.h[c][d] ** 2
+    return lambda t: max(out2, (w2 * (rest + (a + t) ** 2)).max())
+
+
+def line_probe(h, w2, u):
+    """The squared objective along the dual ``h + t·u`` as a function of
+    ``t``, in the coefficients of ``erasure._line_quadratics``."""
+    alpha, two_beta, gamma = erasure._line_quadratics(h, w2, u)
+    return lambda t: (alpha + t * (two_beta + t * gamma)).max()
+
+
 class TestClosedFormProbes:
     """The descents' closed-form probes equal D^1 of the probed dual."""
 
@@ -555,7 +578,7 @@ class TestClosedFormProbes:
                 y = state.x.copy()
                 y[c, d] = t
                 expected, _ = d1_fast(b.frame, dual_family_member(b, y))
-                assert np.sqrt(state.coordinate_probe(c, d)(t)) == pytest.approx(expected, rel=1e-12)
+                assert np.sqrt(coordinate_probe(state, c, d)(t)) == pytest.approx(expected, rel=1e-12)
                 state.move(c, d, t)
                 assert np.array_equal(state.x, y)
                 assert np.sqrt(max(state.top)) == pytest.approx(expected, rel=1e-12)
@@ -570,7 +593,7 @@ class TestClosedFormProbes:
             for _ in range(5):
                 unit = rng.standard_normal((m, k))
                 unit /= np.linalg.norm(unit)
-                probe = erasure._line_probe(h, w2, unit[b.column_component].T)
+                probe = line_probe(h, w2, unit[b.column_component].T)
                 t = 0.1 * rng.random()
                 expected, _ = d1_fast(b.frame, dual_family_member(b, x + t * unit))
                 assert np.sqrt(probe(t)) == pytest.approx(expected, rel=1e-12)
@@ -716,7 +739,7 @@ class TestExactCoordinateStep:
                 c, d = int(rng.integers(m)), int(rng.integers(k))
                 radius = (0.01, 0.05, 0.5)[step % 3]
                 lo, hi = state.x[c, d] - radius, state.x[c, d] + radius
-                probe = state.coordinate_probe(c, d)
+                probe = coordinate_probe(state, c, d)
                 t, value = state.coordinate_minimiser(c, d, radius)
                 assert lo <= t <= hi
                 assert value == pytest.approx(probe(t), rel=1e-12)
@@ -736,7 +759,7 @@ class TestExactCoordinateStep:
             for d in range(k):
                 radius = 0.05
                 lo, hi = -radius, radius
-                probe = state.coordinate_probe(0, d)
+                probe = coordinate_probe(state, 0, d)
                 assert probe(lo) == probe(hi) == out2
                 w2, a = state.w2[0], state.a0[0][d]
                 rest = state.sq[0] - state.h[0][d] ** 2
@@ -772,7 +795,7 @@ class TestExactLineStep:
                     continue
                 unit = (-direction / norm).reshape(m, k)[b.column_component].T
                 radius = (0.01, 0.05, 0.5)[step % 3]
-                probe = erasure._line_probe(h, w2, unit)
+                probe = line_probe(h, w2, unit)
                 quadratics = erasure._line_quadratics(h, w2, unit)
                 t, value = erasure._envelope_minimiser(*quadratics, 0.0, radius)
                 assert 0.0 <= t <= radius
@@ -905,4 +928,4 @@ class TestBasisInvariance:
         )
         top = products_alt.max()
         alt_lambda1 = tuple(np.where(products_alt >= top * (1 - 1e-9))[0])
-        assert alt_lambda1 == lambda1_set(b)
+        assert alt_lambda1 == canonical_verdict(b).lambda1

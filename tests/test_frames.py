@@ -14,21 +14,29 @@ from gframes import (
     degree_sequence,
     dual_family_member,
     fixtures,
-    is_full_spark,
     laplacian_matrix,
     moore_penrose,
     relabel_by_component,
     spark,
     spark_via_components,
-    unitary_equivalence_witness,
     verify_dual,
 )
 
 from gframes.frames import _CHUNK_ENTRIES
 
-from _oracles import alt_frame_cubic8, alt_frame_two_component, spark_by_subsets
+from _oracles import (
+    alt_frame_cubic8,
+    alt_frame_two_component,
+    spark_by_subsets,
+    unitary_equivalence_witness,
+)
 
 ALL_FIXTURES = sorted(fixtures.FIXTURES)
+
+
+def is_full_spark(frame):
+    """Every ``dim``-subset of frame vectors is a basis."""
+    return spark(frame) == frame.dim + 1
 
 
 def bundle_of(name):

@@ -232,3 +232,18 @@ class TestGraphType:
     def test_edges_normalized(self):
         g = Graph(3, frozenset({(2, 0)}))
         assert g.edges == frozenset({(0, 2)})
+
+    @pytest.mark.parametrize("edges", [
+        {(0, 1.7), (1.2, 2.9)},
+        {(0, 1.0)},
+        {(0, "1")},
+        {(np.float64(0.0), 2)},
+    ], ids=["fractional", "integral-float", "string", "numpy-float"])
+    def test_rejects_non_integer_labels(self, edges):
+        with pytest.raises(ValueError, match="non-integer vertex label"):
+            Graph(3, frozenset(edges))
+
+    def test_accepts_numpy_integer_labels(self):
+        g = Graph(3, frozenset({(np.int64(2), np.int32(0)), (np.uint8(1), np.intp(2))}))
+        assert g.edges == frozenset({(0, 2), (1, 2)})
+        assert all(type(x) is int for edge in g.edges for x in edge)

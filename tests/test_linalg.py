@@ -1,31 +1,34 @@
-"""Eigensolver contract, pseudoinverse axioms, norms, ranks, and the
-closed-form determinant identity."""
+"""Eigensolver contract, pseudoinverse axioms, norms, ranks, the exact
+adjacency-power diagonals behind the walk census, and the closed-form
+determinant oracle."""
+
+import functools
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from gframes import (
     ConvergenceError,
+    Graph,
     adjacency_matrix,
     eigh_symmetric,
     fixtures,
-    generalized_vandermonde_det,
+    is_walk_regular_definition,
     laplacian_matrix,
-    matrix_power_diagonal,
     moore_penrose,
     numerical_rank,
     spectral_norm,
 )
-from gframes.linalg import _exact_power_diagonals, _max_abs_row_sum
+from gframes.walkreg import _power_diagonals
 
 from _oracles import (
     bareiss_det,
     circulant_graph,
     count_closed_walks,
+    generalized_vandermonde_det,
     jacobi_eigh,
     object_power_diagonals,
-    paley_graph,
-    random_connected_graph,
     random_symmetric,
     regular_census_graphs,
 )
@@ -34,6 +37,8 @@ from _oracles import (
 #: pseudoinverse tests check. A fixed list: test ids number the matrices by
 #: position, so a fixture added to the registry must not renumber them.
 MATRIX_FIXTURES = ("c4", "figure1", "figure2", "k3", "k33", "path3", "petersen", "two_triangles")
+
+_INT64_MAX = 2**63 - 1
 
 
 def fixture_matrices():
@@ -171,64 +176,51 @@ class TestMoorePenrose:
         assert np.abs(moore_penrose(matrix) - np.linalg.pinv(matrix)).max() <= 1e-9
 
 
+def power_diagonals(g, p_max):
+    """diag(A^1)..diag(A^p_max) from the census kernel, as lists."""
+    return [diag.tolist() for diag in _power_diagonals(g, p_max)]
+
+
 class TestMatrixPowerDiagonal:
+    """diag(A^p) from the walk census's kernel, which yields every power."""
+
     def test_triangle_walk_counts(self):
-        a = adjacency_matrix(fixtures.k3())
-        assert matrix_power_diagonal(a, 2) == [2, 2, 2]
-        assert matrix_power_diagonal(a, 3) == [2, 2, 2]
+        assert power_diagonals(fixtures.k3(), 3)[1:] == [[2, 2, 2], [2, 2, 2]]
 
     @pytest.mark.parametrize("name", ["k3", "c4", "path3"])
     def test_matches_walk_enumeration(self, name):
         g = fixtures.FIXTURES[name]()
-        a = adjacency_matrix(g)
-        for p in range(1, 6):
-            expected = [count_closed_walks(g, v, p) for v in range(g.n)]
-            assert matrix_power_diagonal(a, p) == expected
+        for p, diag in enumerate(power_diagonals(g, 5), start=1):
+            assert diag == [count_closed_walks(g, v, p) for v in range(g.n)]
 
     def test_cubic8_has_nonconstant_power(self):
-        a = adjacency_matrix(fixtures.cubic8())
-        spreads = [max(d) - min(d) for d in (matrix_power_diagonal(a, p) for p in range(1, 8))]
+        spreads = [max(d) - min(d) for d in power_diagonals(fixtures.cubic8(), 7)]
         assert any(s > 0 for s in spreads)
 
     def test_overflow_raises(self):
-        m = np.full((2, 2), 2**31, dtype=float)
-        with pytest.raises(OverflowError, match="exact=False"):
-            matrix_power_diagonal(m, 3)
-
-    def test_float_path(self):
-        m = np.array([[0.5, 0.25], [0.25, 0.5]])
-        diag = matrix_power_diagonal(m, 2)
-        assert np.allclose(diag, np.diag(m @ m))
-
-    def test_forced_float_path_survives_overflow(self):
-        m = np.full((2, 2), 2**31, dtype=float)
-        diag = matrix_power_diagonal(m, 3, exact=False)
-        assert np.allclose(diag, np.diag(m @ m @ m), rtol=1e-12)
-
-    def test_exact_on_non_integral_rejected(self):
-        with pytest.raises(ValueError, match="integer-valued"):
-            matrix_power_diagonal(np.array([[0.5]]), 2, exact=True)
+        # K20: A^p has (19^p + 19(-1)^p)/20 on its diagonal and
+        # (19^p - (-1)^p)/20 off it, inside int64 up to p = 15, past it at 16
+        g = Graph(20, frozenset(combinations(range(20), 2)))
+        a = adjacency_matrix(g).astype(np.int64)
+        assert [max(diag) > _INT64_MAX for diag in object_power_diagonals(a, 16)[-2:]] == [
+            False, True]
+        message = "integer matrix power overflows 64-bit range at power 16"
+        with pytest.raises(OverflowError, match=f"^{message}; rerun with a smaller p_max$"):
+            is_walk_regular_definition(g, 16)
 
     def test_rejects_bad_power(self):
-        with pytest.raises(ValueError):
-            matrix_power_diagonal(np.eye(2), 0)
+        for p_max in (-1, 2.0, "3"):
+            with pytest.raises(ValueError, match="p_max must be a positive integer"):
+                is_walk_regular_definition(fixtures.k3(), p_max)
 
 
-
-_INT64_MAX = 2**63 - 1
-
-
-def python_row_sum(m) -> int:
-    """Largest absolute row sum of m, summed in Python ints."""
-    return max(sum(abs(int(x)) for x in row) for row in np.asarray(m).tolist())
-
-
-def int64_reach(m) -> int:
-    """Largest p with r^p <= 2^63 - 1, r the largest absolute row sum of m
-    (capped at 200 for r <= 1): the powers the int64 census route covers."""
-    r = python_row_sum(m)
+def int64_reach(g) -> int:
+    """Largest p with Δ^p <= 2^63 - 1, Δ the largest row sum of the adjacency
+    matrix in Python ints (capped at 200 for Δ <= 1): the powers the int64
+    census route covers."""
+    delta = max(sum(row) for row in adjacency_matrix(g).astype(int).tolist())
     p = 0
-    while p < 200 and r ** (p + 1) <= _INT64_MAX:
+    while p < 200 and delta ** (p + 1) <= _INT64_MAX:
         p += 1
     return p
 
@@ -247,104 +239,66 @@ def _census_graphs():
 
 
 CENSUS_GRAPHS = _census_graphs()
-LAPLACIAN_GRAPHS = CENSUS_GRAPHS[:12] + [
-    (f"random{i}", random_connected_graph(np.random.default_rng(40 + i))) for i in range(6)]
+
+#: C80(1,2) has Δ = 4, so 4^31 <= 2^63 - 1 < 4^32: its census leaves int64
+#: products after power 31 and its walk counts leave int64 at power 34.
+C80 = circulant_graph(80, (1, 2))
 
 
-# the matrices the census tests put at and around the int64 bound, and
-# entries whose row sums (or whose abs) leave int64
-BOUND_MATRICES = [
-    [[2**20, 2**20 - 1], [2**20 - 1, 2**20]],
-    [[2**20, -(2**20 - 1)], [-(2**20 - 1), 2**20]],
-    [[2**21]],
-    [[2**20, -(2**20)], [-(2**20), 2**20]],
-    [[-(2**63), 0], [0, -(2**63)]],
-    [[-(2**63), 1], [1, -(2**63)]],
-    [[2**63 - 1]],
-    [[2**63 - 1, 1], [1, 0]],
-    [[2**62, -(2**62)], [-(2**62), 2**62]],
-    [[(2**63 - 1) // 3] * 3, [-((2**63 - 1) // 3)] * 3, [0, 0, 0]],
-    [[(2**63 - 1) // 3 + 1] * 3, [0, 0, 0], [0, 0, 0]],
-]
+@functools.cache
+def c80_diagonals() -> list:
+    return object_power_diagonals(adjacency_matrix(C80).astype(np.int64), 34)
+
+
+def checked(diagonals) -> tuple:
+    return tuple((p, tuple(diag)) for p, diag in enumerate(diagonals, start=1))
 
 
 class TestExactCensusRoutes:
-    @pytest.mark.parametrize("m", BOUND_MATRICES + [
-        laplacian_matrix(g) for _, g in LAPLACIAN_GRAPHS])
-    def test_row_sum_bound_matches_python_ints(self, m):
-        m = np.asarray(m, dtype=np.int64)
-        assert _max_abs_row_sum(m) == python_row_sum(m)
-
-    def test_empty_matrix_has_no_walks(self):
-        assert _max_abs_row_sum(np.zeros((0, 0), dtype=np.int64)) == 0
-        assert matrix_power_diagonal(np.zeros((0, 0)), 3) == []
+    """The census takes int64 products while Δ^p_max fits in int64 (its
+    diagonals are int64), and Python ints checked against the int64 range
+    beyond (object diagonals)."""
 
     @pytest.mark.parametrize("g", [g for _, g in CENSUS_GRAPHS],
                              ids=[label for label, _ in CENSUS_GRAPHS])
     def test_int64_route_matches_object_products(self, g):
-        a = adjacency_matrix(g).astype(np.int64)
-        p_max = min(int64_reach(a), g.n)
+        p_max = min(int64_reach(g), g.n)
         assert p_max >= min(3, g.n)
-        assert list(_exact_power_diagonals(a, p_max)) == object_power_diagonals(a, p_max)
+        diagonals = list(_power_diagonals(g, p_max))
+        assert all(diag.dtype == np.int64 for diag in diagonals)
+        a = adjacency_matrix(g).astype(np.int64)
+        assert [diag.tolist() for diag in diagonals] == object_power_diagonals(a, p_max)
 
     @pytest.mark.parametrize("name", ["k3", "c4", "path3", "petersen"])
     def test_int64_route_matches_walk_enumeration(self, name):
         g = fixtures.FIXTURES[name]()
-        diagonals = list(_exact_power_diagonals(adjacency_matrix(g).astype(np.int64), 6))
-        for p, diag in enumerate(diagonals, start=1):
+        for p, diag in enumerate(power_diagonals(g, 6), start=1):
             assert diag == [count_closed_walks(g, v, p) for v in range(g.n)]
 
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_just_inside_the_bound(self, sign):
-        # rows sum to r = 2^21 - 1 in magnitude, and r^3 < 2^63 <= (r + 1)^3
-        half = 2**20
-        m = np.array([[half, sign * (half - 1)], [sign * (half - 1), half]], dtype=np.int64)
-        assert int64_reach(m) == 3
-        assert list(_exact_power_diagonals(m, 3)) == object_power_diagonals(m, 3)
-
-    def test_just_outside_the_bound_raises_where_int64_would_wrap(self):
-        m = np.array([[2**21]], dtype=np.int64)  # r^3 = 2^63
-        assert (m @ m @ m)[0, 0] < 0  # int64 products wrap here
-        diagonals = _exact_power_diagonals(m, 3)
-        assert next(diagonals) == [2**21]
-        assert next(diagonals) == [2**42]
-        with pytest.raises(OverflowError, match="at power 3$"):
-            next(diagonals)
+    def test_just_inside_the_bound(self):
+        assert int64_reach(C80) == 31
+        assert next(_power_diagonals(C80, 31)).dtype == np.int64
+        report = is_walk_regular_definition(C80, 31)
+        assert report.is_walk_regular
+        assert report.checked_powers == checked(c80_diagonals()[:31])
 
     def test_beyond_the_bound_but_in_range_is_exact(self):
-        # r = 2^21, but the entries of m^3 are only 2^62 in magnitude
-        m = np.array([[2**20, -(2**20)], [-(2**20), 2**20]], dtype=np.int64)
-        assert int64_reach(m) == 2
-        assert list(_exact_power_diagonals(m, 3)) == object_power_diagonals(m, 3)
+        # 4^33 > 2^63 - 1, but every entry of A^33 is below it
+        assert next(_power_diagonals(C80, 33)).dtype == object
+        report = is_walk_regular_definition(C80, 33)
+        assert report.is_walk_regular
+        assert report.checked_powers == checked(c80_diagonals()[:33])
 
-    @pytest.mark.parametrize("value", [2.0**63, -(2.0**63), 1e19, -1e300])
-    def test_float_entry_past_int64_raises_at_power_one(self, value):
-        with pytest.raises(OverflowError, match="at power 1; pass exact=False"):
-            matrix_power_diagonal(np.array([[0.0, value], [value, 0.0]]), 3)
-
-    @pytest.mark.parametrize("row", [[-(2**63), 0], [-(2**63), 1]])
-    def test_entry_of_magnitude_2_63_raises_at_power_one(self, row):
-        # abs(-2^63) wraps in int64, so the row sum must not be taken there
-        m = np.array([row, row[::-1]], dtype=np.int64)
-        with pytest.raises(OverflowError, match="at power 1$"):
-            next(_exact_power_diagonals(m, 4))
-        with pytest.raises(OverflowError, match="at power 1; pass exact=False"):
-            matrix_power_diagonal(m.astype(float), 1)
-
-    @pytest.mark.parametrize("g", [g for _, g in LAPLACIAN_GRAPHS],
-                             ids=[label for label, _ in LAPLACIAN_GRAPHS])
-    def test_laplacian_powers(self, g):
-        # negative off-diagonal entries; r = 2 * max degree
-        lap = laplacian_matrix(g)
-        expected = object_power_diagonals(lap.astype(np.int64), 8)
-        for p in (1, 2, 3, min(int64_reach(lap), 8), 8):
-            assert matrix_power_diagonal(lap, p) == expected[p - 1]
-
-    def test_laplacian_beyond_the_bound(self):
-        lap = laplacian_matrix(paley_graph(37))  # r = 36 and 36^13 > 2^63
-        assert int64_reach(lap) == 12
-        assert matrix_power_diagonal(lap, 13) == object_power_diagonals(
-            lap.astype(np.int64), 13)[-1]
+    def test_just_outside_the_bound_raises_where_int64_would_wrap(self):
+        a = adjacency_matrix(C80).astype(np.int64)
+        assert c80_diagonals()[33][0] > _INT64_MAX
+        assert np.linalg.matrix_power(a, 34)[0, 0] != c80_diagonals()[33][0]  # int64 wraps
+        diagonals = _power_diagonals(C80, 34)
+        for expected in c80_diagonals()[:33]:
+            assert next(diagonals).tolist() == expected
+        with pytest.raises(OverflowError,
+                           match="^integer matrix power overflows 64-bit range at power 34$"):
+            next(diagonals)
 
 
 class TestSpectralNorm:

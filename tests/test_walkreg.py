@@ -1,12 +1,13 @@
 """Walk-regularity checks and the equal-diagonal pseudoinverse consequences."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from gframes import (
     Graph,
     adjacency_matrix,
-    equal_diagonal_check,
     fixtures,
     is_regular,
     is_walk_regular,
@@ -66,6 +67,17 @@ class TestCertifiedPath:
     @pytest.mark.parametrize("name", fixtures.NOT_WALK_REGULAR)
     def test_non_walk_regular_fixtures(self, name):
         assert not is_walk_regular(fixtures.FIXTURES[name]()).is_walk_regular
+
+    def test_first_violation_is_the_first_unequal_pair(self):
+        graphs = [fixtures.FIXTURES[name]() for name in fixtures.NOT_WALK_REGULAR]
+        graphs += [fixtures.cubic8(), circulant_graph(12, (1, 2)),
+                   Graph(4, frozenset({(0, 1), (1, 2), (0, 2), (2, 3)}))]  # degrees 2, 2, 3, 1
+        for g in graphs:
+            report = is_walk_regular(g)
+            p, diag = report.checked_powers[-1]
+            pairs = [(u, v) for u, v in combinations(range(g.n), 2) if diag[u] != diag[v]]
+            assert report.first_violation == ((p, pairs[0]) if pairs else None)
+        assert report.first_violation == (2, (0, 2))
 
 
 class TestCensus:
@@ -127,29 +139,29 @@ class TestDefinitionPath:
             is_walk_regular_definition(fixtures.k3(), 0)
 
 
+def diagonal_spread(m) -> float:
+    """max - min of the diagonal of a square matrix."""
+    return float(np.ptp(np.diag(m)))
+
+
 class TestEqualDiagonal:
     def test_k3_pseudoinverse(self):
-        is_equal, spread = equal_diagonal_check(moore_penrose(laplacian_matrix(fixtures.k3())))
-        assert is_equal and spread <= 1e-9
+        assert diagonal_spread(moore_penrose(laplacian_matrix(fixtures.k3()))) <= 1e-9
 
     def test_cubic8_laplacian_pseudoinverse(self):
         pinv = moore_penrose(laplacian_matrix(fixtures.cubic8()))
-        is_equal, spread = equal_diagonal_check(pinv)
-        assert not is_equal
-        assert abs(spread - 0.0328) <= 1e-3
+        assert abs(diagonal_spread(pinv) - 0.0328) <= 1e-3
         # squared canonical-dual norms, three distinct values across 8 vertices
         diag = np.sort(np.unique(np.round(np.diag(pinv), 6)))
         assert np.allclose(diag, [0.299107, 0.322917, 0.331845], atol=1e-6)
 
     def test_petersen_adjacency_pseudoinverse(self):
-        is_equal, spread = equal_diagonal_check(
-            moore_penrose(adjacency_matrix(fixtures.petersen()))
-        )
-        assert is_equal and spread <= 1e-9
+        assert diagonal_spread(moore_penrose(adjacency_matrix(fixtures.petersen()))) <= 1e-9
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            equal_diagonal_check(np.ones((2, 3)))
+        # the pseudoinverse, and so the check on its diagonal, needs a square matrix
+        with pytest.raises(ValueError, match="square"):
+            moore_penrose(np.ones((2, 3)))
 
 
 class TestPseudoinverseConsequences:
@@ -160,14 +172,12 @@ class TestPseudoinverseConsequences:
     @pytest.mark.parametrize("name", fixtures.WALK_REGULAR)
     def test_adjacency_diag_constant(self, name):
         g = fixtures.FIXTURES[name]()
-        is_equal, _ = equal_diagonal_check(moore_penrose(adjacency_matrix(g)), 1e-9)
-        assert is_equal
+        assert diagonal_spread(moore_penrose(adjacency_matrix(g))) <= 1e-9
 
     @pytest.mark.parametrize("name", fixtures.WALK_REGULAR)
     def test_laplacian_diag_constant(self, name):
         g = fixtures.FIXTURES[name]()
-        is_equal, _ = equal_diagonal_check(moore_penrose(laplacian_matrix(g)), 1e-9)
-        assert is_equal
+        assert diagonal_spread(moore_penrose(laplacian_matrix(g))) <= 1e-9
 
     @pytest.mark.parametrize("name", fixtures.WALK_REGULAR)
     def test_walk_regular_implies_regular(self, name):
@@ -179,5 +189,4 @@ class TestPseudoinverseConsequences:
         assert is_regular(g) == 3
         assert not is_walk_regular(g).is_walk_regular
         assert not is_walk_regular_definition(g, g.n).is_walk_regular
-        is_equal, _ = equal_diagonal_check(moore_penrose(laplacian_matrix(g)), 1e-9)
-        assert not is_equal
+        assert diagonal_spread(moore_penrose(laplacian_matrix(g))) > 1e-9
