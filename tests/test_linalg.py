@@ -275,10 +275,14 @@ class TestExactCensusRoutes:
         for p, diag in enumerate(power_diagonals(g, 6), start=1):
             assert diag == [count_closed_walks(g, v, p) for v in range(g.n)]
 
-    def test_just_inside_the_bound(self):
-        assert int64_reach(C80) == 31
-        assert next(_power_diagonals(C80, 31)).dtype == np.int64
-        report = is_walk_regular_definition(C80, 31)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_just_inside_the_bound(self, sign):
+        # jumps are taken mod n, so C80(-1,-2) is C80(1,2) and has the same reach
+        g = circulant_graph(80, (sign, 2 * sign))
+        assert (g.n, g.edges) == (C80.n, C80.edges)
+        assert int64_reach(g) == 31
+        assert next(_power_diagonals(g, 31)).dtype == np.int64
+        report = is_walk_regular_definition(g, 31)
         assert report.is_walk_regular
         assert report.checked_powers == checked(c80_diagonals()[:31])
 
