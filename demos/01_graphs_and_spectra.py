@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from gframes import (
-    adjacency_matrix,
     degree_sequence,
     eigh_symmetric,
     laplacian_matrix,
@@ -35,7 +34,7 @@ print("\nLaplacian (degree matrix minus adjacency matrix):")
 print(lap)
 print("row sums are exactly zero:", lap.sum(axis=1).tolist())
 print("L equals D - A:", np.array_equal(
-    lap, np.diag(degree_sequence(g)) - adjacency_matrix(g)))
+    lap, np.diag(degree_sequence(g)) - g.adjacency))
 
 # Eigendecomposition: LAPACK eigh, eigenvalues descending, fixed eigenvector signs.
 spectrum = eigh_symmetric(lap)

@@ -9,22 +9,29 @@ diagonals; regularity alone does not, and the bundled cubic fixture is
 the counterexample.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from gframes import (
-    adjacency_matrix,
-    fixtures,
     is_regular,
     is_walk_regular,
     is_walk_regular_definition,
     laplacian_matrix,
-    moore_penrose,
+    parse_edge_list,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def load(name):
+    return parse_edge_list((FIXTURES / f"{name}.edges").read_text())
+
 
 np.set_printoptions(precision=4, suppress=True)
 
 for name in ("k3", "c4", "petersen", "k33", "figure2", "path3"):
-    g = fixtures.FIXTURES[name]()
+    g = load(name)
     report = is_walk_regular(g)
     line = (f"{name:10s} regular: {str(is_regular(g)):>5s}   "
             f"walk-regular: {str(report.is_walk_regular):>5s}   "
@@ -37,7 +44,7 @@ for name in ("k3", "c4", "petersen", "k33", "figure2", "path3"):
 # The cubic fixture in detail: 3-regular, but closed 3-walk counts differ
 # because its two triangles avoid vertices 0 and 5. The census stops at that
 # power, the first whose diagonal is not constant.
-g = fixtures.cubic8()
+g = load("figure2")
 print("\ncubic8 diag(A^3), twice the per-vertex triangle count:",
       list(dict(is_walk_regular(g).checked_powers)[3]))
 
@@ -49,7 +56,7 @@ print("definition census to p=8 agrees:",
 # Equal-diagonal consequences for the pseudoinverse.
 print("\npseudoinverse diagonals:")
 for name in ("petersen", "figure2"):
-    g = fixtures.FIXTURES[name]()
-    for label, matrix in (("A", adjacency_matrix(g)), ("L", laplacian_matrix(g))):
-        spread = np.ptp(np.diag(moore_penrose(matrix)))
+    g = load(name)
+    for label, matrix in (("A", g.adjacency), ("L", laplacian_matrix(g))):
+        spread = np.ptp(np.diag(np.linalg.pinv(matrix)))
         print(f"  {name:9s} diag({label}+) constant: {str(spread <= 1e-9):>5s}   spread {spread:.6f}")

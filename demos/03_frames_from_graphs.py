@@ -7,22 +7,27 @@ structure: squared norms are vertex degrees, each component's vectors sum
 to zero, and any two realizations differ only by an orthogonal map.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from gframes import (
     Frame,
     build_lg_frame,
     degree_sequence,
-    fixtures,
     laplacian_matrix,
+    parse_edge_list,
     verify_dual,
     canonical_dual,
     dual_family_member,
 )
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
 np.set_printoptions(precision=4, suppress=True)
 
-bundle = build_lg_frame(fixtures.k3_plus_c4())
+# The bundled 7-vertex fixture: a triangle and a 4-cycle, disconnected.
+bundle = build_lg_frame(parse_edge_list((FIXTURES / "figure1.edges").read_text()))
 frame = bundle.frame
 print(f"frame: {frame.count} vectors in dimension {frame.dim}"
       f" (n={bundle.graph.n}, p={bundle.component_count} components)")

@@ -14,6 +14,8 @@ an equivalence, so the verdict is all-or-nothing. Three stories:
   and a seeded search of the dual family finds strictly better duals.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from gframes import (
@@ -23,15 +25,22 @@ from gframes import (
     d1_fast,
     d_r,
     dual_family_member,
-    fixtures,
+    parse_edge_list,
     perturbation_search,
     verify_dual,
 )
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def load(name):
+    return parse_edge_list((FIXTURES / f"{name}.edges").read_text())
+
+
 np.set_printoptions(precision=4, suppress=True)
 
 for name in ("k3", "figure1", "figure2"):
-    bundle = build_lg_frame(fixtures.FIXTURES[name]())
+    bundle = build_lg_frame(load(name))
     report = canonical_verdict(bundle)
     print(f"{name}:")
     print(f"  products {np.round(report.per_vertex_products, 6)}")
@@ -41,7 +50,7 @@ for name in ("k3", "figure1", "figure2"):
 # The error operator behind those numbers: erase one coefficient and the
 # reconstruction misses by the rank-one operator h_i f_i^T, whose norm is
 # the product.
-bundle = build_lg_frame(fixtures.cubic8())
+bundle = build_lg_frame(load("figure2"))
 report = canonical_verdict(bundle)
 dual = canonical_dual(bundle)
 op = np.outer(dual[:, 1], bundle.frame.synthesis[:, 1])

@@ -11,7 +11,6 @@ format and all CLI reports use 1-based labels.
 from .exceptions import ConvergenceError, EdgeListError, EnumerationGuardError
 from .graphs import (
     Graph,
-    adjacency_matrix,
     degree_sequence,
     is_regular,
     laplacian_matrix,
@@ -21,7 +20,6 @@ from .graphs import (
 from .linalg import (
     SymmetricSpectrum,
     eigh_symmetric,
-    moore_penrose,
     numerical_rank,
     spectral_norm,
 )
@@ -47,7 +45,6 @@ from .erasure import (
     VERDICT_UNIQUE_ALL,
     ConstancyCertificate,
     ErasureReport,
-    NonOptimalityWitness,
     SearchResult,
     canonical_verdict,
     d1_fast,
@@ -55,23 +52,20 @@ from .erasure import (
     d_r_lower_bound,
     perturbation_search,
 )
-from . import fixtures
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "EdgeListError", "EnumerationGuardError",
-    "Graph", "adjacency_matrix", "degree_sequence", "is_regular",
-    "laplacian_matrix", "parse_edge_list", "relabel_by_component",
-    "SymmetricSpectrum", "eigh_symmetric", "moore_penrose", "numerical_rank",
-    "spectral_norm",
+    "Graph", "degree_sequence", "is_regular", "laplacian_matrix",
+    "parse_edge_list", "relabel_by_component",
+    "SymmetricSpectrum", "eigh_symmetric", "numerical_rank", "spectral_norm",
     "WalkRegularityReport", "is_walk_regular", "is_walk_regular_definition",
     "Frame", "GraphFrameBundle", "build_lg_frame", "canonical_dual",
     "dual_family_member", "spark", "spark_via_components", "verify_dual",
     "VERDICT_INCONCLUSIVE", "VERDICT_NOT_OD", "VERDICT_OD_SINGLE",
     "VERDICT_UNIQUE_ALL", "ConstancyCertificate", "ErasureReport",
-    "NonOptimalityWitness", "SearchResult", "canonical_verdict", "d1_fast",
-    "d_r", "d_r_lower_bound", "perturbation_search",
-    "fixtures",
+    "SearchResult", "canonical_verdict", "d1_fast", "d_r", "d_r_lower_bound",
+    "perturbation_search",
     "__version__",
 ]

@@ -6,7 +6,9 @@ measures how badly a dual frame can fail under r erasures. For a single
 erasure the norm factorizes, so D^1 is just the largest product
 ``|f_i| * |h_i|``, and the canonical dual is the best dual exactly when
 those products are constant — for connected graphs this is an if and only
-if. Each component minimises its own maximum, so a disconnected graph's
+if, certified by the argmax vectors being independent (a column set is
+dependent exactly when it holds a whole component) while all vectors sum
+to zero. Each component minimises its own maximum, so a disconnected graph's
 canonical dual is optimal for one erasure when a component that attains
 the maximum has constant products. The verdict is decided by such
 certificates alone and never searches; :func:`perturbation_search`
@@ -22,14 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Optional
 
 import numpy as np
 
 from .exceptions import EnumerationGuardError
 from .frames import Frame, GraphFrameBundle, dual_family_member
 from .graphs import is_regular
-from .linalg import numerical_rank
 from .walkreg import is_walk_regular
 
 VERDICT_UNIQUE_ALL = "UNIQUE_OD_ALL_ERASURES"
@@ -55,18 +55,6 @@ _CHUNK = 4096
 class ConstancyCertificate:
     is_constant: bool
     spread: float
-
-
-@dataclass(frozen=True, eq=False)
-class NonOptimalityWitness:
-    """Certificate that the canonical dual is not optimal for one erasure:
-    the argmax frame vectors are linearly independent, yet a dependence
-    with nowhere-zero coefficients exists (all-ones, since every
-    component's vectors sum to zero)."""
-
-    vertices: tuple
-    coefficients: np.ndarray
-    dependence_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,18 +172,6 @@ def _constancy(products: np.ndarray) -> ConstancyCertificate:
     ``max(1, largest product)``."""
     spread = float(products.max() - products.min())
     return ConstancyCertificate(spread <= _TIE_TOL * max(1.0, float(products.max())), spread)
-
-
-def _witness(bundle: GraphFrameBundle, vertices: tuple) -> Optional[NonOptimalityWitness]:
-    """Witness that the canonical dual is not optimal for one erasure, for
-    the argmax set ``vertices``, or ``None`` when those vectors are
-    dependent and no such certificate exists down this route."""
-    sub = bundle.frame.synthesis[:, list(vertices)]
-    if numerical_rank(sub) < len(vertices):
-        return None
-    coefficients = np.ones(bundle.frame.count)
-    residual = float(np.abs(bundle.frame.synthesis @ coefficients).max())
-    return NonOptimalityWitness(vertices, coefficients, residual)
 
 
 def _tie_dual(bundle: GraphFrameBundle, lambda1: set, norms: tuple):
@@ -529,8 +505,8 @@ def canonical_verdict(bundle: GraphFrameBundle) -> ErasureReport:
 
     1. walk-regular graph — unique optimal dual for any number of erasures;
     2. constant products — same conclusion for any frame;
-    3. connected with non-constant products — not optimal, with the
-       independence/dependence witness;
+    3. connected with non-constant products — not optimal: the argmax
+       vectors are independent, yet all vectors sum to zero;
     4. a component that attains the maximum product has constant products —
        optimal for one erasure, because each component minimises its own
        maximum; possibly not uniquely (a tie dual is attached whenever some
@@ -567,15 +543,14 @@ def canonical_verdict(bundle: GraphFrameBundle) -> ErasureReport:
         return ErasureReport(verdict=VERDICT_UNIQUE_ALL, verdict_basis=basis, **report)
 
     if bundle.graph.is_connected:
-        witness = _witness(bundle, lam1)
-        if witness is None:
-            raise RuntimeError(
-                "connected graph with non-constant products must yield a witness; this is a bug"
-            )
+        # non-constant products leave some vertex out of the argmax set, and
+        # a column set missing a vertex of a connected graph is independent
+        # (see spark_via_components); all n columns sum to zero
+        all_ones = np.ones(bundle.frame.count)
         basis = {
             "certificate": "independent_argmax_with_global_dependence",
-            "witness_vertices": list(witness.vertices),
-            "dependence_residual": witness.dependence_residual,
+            "witness_vertices": list(lam1),
+            "dependence_residual": float(np.abs(bundle.frame.synthesis @ all_ones).max()),
         }
         return ErasureReport(verdict=VERDICT_NOT_OD, verdict_basis=basis, **report)
 

@@ -244,8 +244,15 @@ def spark(frame: Frame, rank_tol: float = 1e-8, guard: int = 2_000_000) -> int:
 def spark_via_components(g: Graph) -> int:
     """Spark of the frame generated by ``g``: the smallest component order.
 
-    Valid because each component contributes one dependence (its vectors
-    sum to zero) while any fewer columns stay independent.
+    The frame's Gramian is the Laplacian, so the columns indexed by Λ are
+    dependent exactly when ``L[Λ,Λ]`` is singular, and
+
+        xᵀL[Λ,Λ]x = Σ_{uv ∈ E(G[Λ])} (x_u − x_v)² + Σ_{v ∈ Λ} d_out(v)·x_v²,
+
+    with ``d_out(v)`` the number of neighbours of ``v`` outside Λ. A null
+    vector is constant on each component of ``G[Λ]`` and zero wherever an
+    edge leaves Λ, so a column set is dependent exactly when it contains a
+    whole component of ``g``: each component's vectors sum to zero.
     """
     _reject_isolated_vertices(g)
     return min(len(comp) for comp in g.components)

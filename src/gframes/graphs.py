@@ -27,16 +27,22 @@ class Graph:
 
     Edges are stored as a frozenset of ``(u, v)`` pairs with ``u < v``;
     self-loops are rejected and duplicates collapse by set semantics.
-    Vertex labels must be integers (numpy integers included); any other
-    label raises ``ValueError`` rather than being truncated.
+    The vertex count and the labels must be integers (numpy integers
+    included, ``bool`` excluded for the count); anything else raises
+    ``ValueError`` rather than being truncated.
     """
 
     n: int
     edges: frozenset
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            n = 0
+        if isinstance(self.n, bool) or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         normalized = set()
         for edge in self.edges:
             u, v = edge
@@ -65,8 +71,8 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        """Read-only 0/1 adjacency matrix; :func:`adjacency_matrix` gives a
-        writable copy."""
+        """Read-only symmetric 0/1 adjacency matrix with zero diagonal; a
+        caller that writes takes a copy."""
         a = np.zeros((self.n, self.n))
         if self.edges:
             u, v = np.array(list(self.edges)).T
@@ -155,11 +161,6 @@ def parse_edge_list(text: str) -> Graph:
 def degree_sequence(g: Graph) -> list:
     """Number of neighbors of each vertex."""
     return [len(ns) for ns in g.adjacency_lists]
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Symmetric 0/1 matrix with zero diagonal; entry 1 iff the pair is an edge."""
-    return g.adjacency.copy()
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:

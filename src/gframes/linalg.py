@@ -1,5 +1,5 @@
 """Dense symmetric eigensolver and the matrix utilities around it: the
-pseudoinverse, the spectral norm and the numerical rank.
+spectral norm and the numerical rank.
 
 The eigensolver is LAPACK's symmetric driver (``np.linalg.eigh``) wrapped
 in a deterministic contract: stable descending eigenvalue sort, a sign
@@ -30,7 +30,7 @@ class SymmetricSpectrum:
 
     ``eigenvalues`` are non-increasing; column ``j`` of ``eigenvectors``
     pairs with ``eigenvalues[j]``. Eigenvalues with ``|lam| <= zero_tol``
-    are treated as exactly zero by consumers (pseudoinverse, rank counts).
+    are treated as exactly zero by consumers (the frame build's rank count).
     """
 
     eigenvalues: np.ndarray
@@ -90,17 +90,6 @@ def eigh_symmetric(m, zero_tol: Optional[float] = None) -> SymmetricSpectrum:
             f"(orthogonality {ortho_err:.2e}, reconstruction {recon_err:.2e})"
         )
     return SymmetricSpectrum(vals, vecs, float(zero_tol))
-
-
-def moore_penrose(m, zero_tol: Optional[float] = None) -> np.ndarray:
-    """Pseudoinverse of a symmetric matrix: invert the nonzero eigenvalues,
-    zero out the rest, and rebuild in the same eigenbasis."""
-    spectrum = eigh_symmetric(m, zero_tol)
-    vals = spectrum.eigenvalues
-    inverted = np.zeros_like(vals)
-    keep = np.abs(vals) > spectrum.zero_tol
-    inverted[keep] = 1.0 / vals[keep]
-    return (spectrum.eigenvectors * inverted) @ spectrum.eigenvectors.T
 
 
 def spectral_norm(m) -> float:

@@ -1,4 +1,6 @@
-"""Independent oracles and shared fixtures for the test suite.
+"""Independent oracles and shared fixtures for the test suite: in-code
+constructions of the bundled edge-list graphs, and every connected graph
+on a few vertices up to isomorphism.
 
 Everything here is deliberately computed by a route different from the
 library under test: determinants by fraction-free elimination, closed
@@ -8,7 +10,8 @@ numpy's LAPACK bindings (the spark by one SVD per column subset),
 minimum-norm points by Frank-Wolfe, convex minima by trisection, error
 operators and basis changes by explicit k x k matrices (the orthogonal
 Procrustes witness), the generalized Vandermonde determinant by its closed
-form, and frames from hand-entered block-structured eigenbases.
+form, pseudoinverse diagonals in exact rational arithmetic, and frames
+from hand-entered block-structured eigenbases.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import contextlib
 import io
 import math
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,100 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 def fixture_path(name: str) -> Path:
     return FIXTURE_DIR / f"{name}.edges"
+
+
+# In-code definitions of the bundled ``fixtures/*.edges`` graphs, so file
+# parsing is cross-checked against an independent construction.
+
+
+def k3() -> Graph:
+    """Complete graph on 3 vertices."""
+    return Graph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
+
+
+def c4() -> Graph:
+    """Cycle on 4 vertices."""
+    return Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+
+
+def path3() -> Graph:
+    """Path on 3 vertices; the smallest non-regular connected graph."""
+    return Graph(3, frozenset({(0, 1), (1, 2)}))
+
+
+def two_triangles() -> Graph:
+    """Disjoint union of two triangles."""
+    return Graph(6, frozenset({(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}))
+
+
+def k33() -> Graph:
+    """Complete bipartite graph on parts {0,1,2} and {3,4,5}."""
+    return Graph(6, frozenset((u, v) for u in range(3) for v in range(3, 6)))
+
+
+def petersen() -> Graph:
+    """Petersen graph: outer 5-cycle, inner pentagram, matching spokes."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, frozenset(outer + spokes + inner))
+
+
+def k3_plus_c4() -> Graph:
+    """Disjoint union of a triangle on {0,1,2} and a 4-cycle on {3,4,5,6}.
+
+    The smallest fixture whose frame is not full spark, and whose canonical
+    dual is optimal for one erasure without being the unique such dual.
+    """
+    return Graph(7, frozenset({(0, 1), (0, 2), (1, 2), (3, 4), (3, 6), (4, 5), (5, 6)}))
+
+
+def cubic8() -> Graph:
+    """Connected 3-regular graph on 8 vertices that is not walk-regular:
+    its two triangles avoid vertices 0 and 5, so closed 3-walk counts
+    differ between vertices. Canonical-dual products are non-constant."""
+    edges = {(0, 1), (0, 4), (0, 5), (1, 2), (1, 7), (2, 3), (2, 7),
+             (3, 4), (3, 6), (4, 6), (5, 6), (5, 7)}
+    return Graph(8, frozenset(edges))
+
+
+def c4_corona() -> Graph:
+    """C4∘K1: a 4-cycle on {0,1,2,3} with a pendant vertex ``i + 4`` at each
+    vertex ``i``. Irregular, so not walk-regular, yet every canonical
+    product is √(9/8): the canonical dual is the unique optimal dual by
+    constancy alone."""
+    cycle = {(0, 1), (1, 2), (2, 3), (0, 3)}
+    return Graph(8, frozenset(cycle | {(i, i + 4) for i in range(4)}))
+
+
+def k4_corona() -> Graph:
+    """K4∘K1: a complete graph on {0,1,2,3} with a pendant vertex ``i + 4``
+    at each vertex ``i``. Irregular, yet every canonical product is 1."""
+    clique = {(u, v) for u in range(4) for v in range(u + 1, 4)}
+    return Graph(8, frozenset(clique | {(i, i + 4) for i in range(4)}))
+
+
+#: Registry keyed by the bundled edge-list file stems.
+FIXTURES = {
+    "k3": k3,
+    "c4": c4,
+    "path3": path3,
+    "two_triangles": two_triangles,
+    "k33": k33,
+    "petersen": petersen,
+    "figure1": k3_plus_c4,
+    "figure2": cubic8,
+    "c4_corona": c4_corona,
+    "k4_corona": k4_corona,
+}
+
+#: Fixtures that are walk-regular (hence regular with equal-diagonal
+#: pseudoinverses and constant canonical products).
+WALK_REGULAR = ("k3", "c4", "two_triangles", "k33", "petersen")
+
+#: Fixtures that fail walk-regularity; the coronas still have constant
+#: canonical products.
+NOT_WALK_REGULAR = ("path3", "figure1", "figure2", "c4_corona", "k4_corona")
 
 
 def run_cli(argv) -> tuple:
@@ -176,6 +274,53 @@ def random_connected_graph(rng, n_min: int = 4, n_max: int = 10) -> Graph:
             if (u, v) not in edges and rng.random() < p:
                 edges.add((u, v))
     return Graph(n, frozenset(edges))
+
+
+def connected_graphs(n_max: int) -> dict:
+    """Every connected graph on 2..n_max vertices up to isomorphism, as
+    ``{n: [Graph, ...]}``. Deleting a non-cut vertex leaves a connected graph,
+    so joining a new vertex to each nonempty vertex set of every connected
+    (n−1)-vertex graph reaches them all; copies are told apart by a
+    brute-force canonical form, the least edge code over all vertex orders."""
+    found = {1: [frozenset()]}
+    for n in range(2, n_max + 1):
+        orders = np.array(list(permutations(range(n))))
+        rows, cols = np.triu_indices(n, 1)
+        weights = 1 << np.arange(len(rows), dtype=np.int64)
+        forms = {}
+        for edges in found[n - 1]:
+            for mask in range(1, 2 ** (n - 1)):
+                grown = edges | {(v, n - 1) for v in range(n - 1) if mask >> v & 1}
+                a = np.zeros((n, n), dtype=np.int64)
+                for u, v in grown:
+                    a[u, v] = a[v, u] = 1
+                relabelled = a[orders[:, :, None], orders[:, None, :]][:, rows, cols]
+                forms.setdefault(int((relabelled @ weights).min()), frozenset(grown))
+        found[n] = list(forms.values())
+    return {n: [Graph(n, edges) for edges in graphs] for n, graphs in found.items() if n > 1}
+
+
+def exact_pinv_diagonal(g: Graph) -> list:
+    """``diag L⁺`` of a connected graph as fractions, from ``L⁺ = (L + J/n)⁻¹ − J/n``
+    by Gauss-Jordan elimination in exact rational arithmetic."""
+    n = g.n
+    rows = [[Fraction(1, n) for _ in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+            for i in range(n)]
+    for u, v in g.edges:
+        rows[u][u] += 1
+        rows[v][v] += 1
+        rows[u][v] -= 1
+        rows[v][u] -= 1
+    for j in range(n):
+        pivot = next(i for i in range(j, n) if rows[i][j] != 0)
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        head = rows[j][j]
+        rows[j] = [x / head for x in rows[j]]
+        for i in range(n):
+            if i != j and rows[i][j] != 0:
+                factor = rows[i][j]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[j])]
+    return [rows[i][n + i] - Fraction(1, n) for i in range(n)]
 
 
 def spark_by_subsets(frame: Frame, rank_tol: float = 1e-8) -> int:

@@ -11,10 +11,18 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from gframes import Graph, fixtures, is_regular
+from gframes import Graph, is_regular
 from gframes.cli import COMMANDS, REPORT_SCHEMA, _build_parser, render_json
 
-from _oracles import edge_list_text, fixture_path, random_connected_graph, run_cli
+from _oracles import (
+    FIXTURES,
+    c4_corona,
+    cubic8,
+    edge_list_text,
+    fixture_path,
+    random_connected_graph,
+    run_cli,
+)
 
 SQRT10_OVER_4 = np.sqrt(10.0) / 4.0
 
@@ -194,7 +202,7 @@ class TestJsonReports:
         assert rows[1]["samples"] == 5
         assert rows[1]["value"] <= 1.195228609 + 1e-9   # bounded by the exact D^2
 
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_dr_table_single_erasure_row_is_first_lambda1_vertex(self, name):
         _, verdict, _ = run_cli(["od-verdict", fixture_path(name)])
         code, out, _ = run_cli(["dr-table", fixture_path(name), "--max-r", "1"])
@@ -214,7 +222,7 @@ class TestJsonReports:
         assert rows[0]["max_subset"] == [2]
         assert rows[2]["max_subset"] == [1, 2, 3]
 
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_d1_canonical_same_in_verdict_and_dr_table(self, name):
         lines = []
         for command in ("od-verdict", "dr-table"):
@@ -266,7 +274,7 @@ class TestJsonReports:
 
     def test_od_search_improves_where_no_certificate_applies(self, tmp_path):
         # C4∘K1 plus P6: P6's non-constant products attain the maximum
-        g = Graph(14, fixtures.c4_corona().edges | {(8 + i, 9 + i) for i in range(5)})
+        g = Graph(14, c4_corona().edges | {(8 + i, 9 + i) for i in range(5)})
         path = tmp_path / "c4_corona_p6.edges"
         path.write_text(edge_list_text(g))
         code, out, _ = run_cli(["od-search", path])
@@ -386,7 +394,7 @@ class TestVerdictNeverSearches:
         monkeypatch.setattr(cli_module, "perturbation_search", refuse)
         monkeypatch.setattr(erasure_module, "perturbation_search", refuse)
 
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_fixtures(self, name):
         code, out, _ = run_cli(["od-verdict", fixture_path(name)])
         assert code == 0
@@ -394,7 +402,7 @@ class TestVerdictNeverSearches:
 
     def test_inconclusive_graph(self, tmp_path):
         # cubic8 plus P3: no certificate applies, and still nothing searches
-        g = Graph(11, fixtures.cubic8().edges | {(8, 9), (9, 10)})
+        g = Graph(11, cubic8().edges | {(8, 9), (9, 10)})
         path = tmp_path / "cubic8_p3.edges"
         path.write_text(edge_list_text(g))
         code, out, _ = run_cli(["od-verdict", path])

@@ -22,7 +22,6 @@ from gframes import (
     d_r,
     d_r_lower_bound,
     dual_family_member,
-    fixtures,
     is_regular,
     is_walk_regular,
     perturbation_search,
@@ -31,8 +30,12 @@ from gframes import (
 from gframes import erasure
 
 from _oracles import (
+    FIXTURES,
+    WALK_REGULAR,
     alt_frame_cubic8,
     alt_frame_two_component,
+    c4_corona,
+    cubic8,
     edge_list_text,
     error_operator,
     min_norm_in_hull_frank_wolfe,
@@ -48,7 +51,7 @@ CUBIC8_SHIFTED_D1 = 0.9972071178616011  # D^1 of the worked shifted dual
 
 
 def bundle_of(name):
-    return build_lg_frame(fixtures.FIXTURES[name]())
+    return build_lg_frame(FIXTURES[name]())
 
 
 def disjoint_union(a, b):
@@ -67,7 +70,7 @@ def path(m):
 class TestOneCanonicalPath:
     """The products, the verdicts and D^r all read the same canonical dual."""
 
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_products_equal_d1_fast_on_fixtures(self, name):
         b = bundle_of(name)
         assert np.array_equal(canonical_verdict(b).per_vertex_products,
@@ -127,7 +130,7 @@ class TestErrorOperator:
                 np.linalg.norm(f_i) * np.linalg.norm(h_i), abs=1e-12
             )
 
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_full_subset_reconstructs_identity(self, name):
         b = bundle_of(name)
         rng = np.random.default_rng(5)
@@ -154,7 +157,7 @@ class TestDR:
         value, _ = d_r(b.frame, canonical_dual(b), 1)
         assert value == pytest.approx(CUBIC8_D1, abs=1e-9)
 
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_erasures_against_lapack(self, name):
         """D^r and its lower bound against the explicit k×k error operators'
         LAPACK norms, independent of the Gramian-block identity; the subset
@@ -186,7 +189,7 @@ class TestDR:
         if name == "k3":
             assert d_r(b.frame, canonical_dual(b), 2)[0] == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_d1_fast_agrees_with_enumeration(self, name):
         b = bundle_of(name)
         rng = np.random.default_rng(31)
@@ -259,7 +262,7 @@ class TestLambdaSetAndConstancy:
         assert report.lambda1 == (0, 1, 2)
         assert report.constancy.is_constant
 
-    @pytest.mark.parametrize("name", fixtures.WALK_REGULAR)
+    @pytest.mark.parametrize("name", WALK_REGULAR)
     def test_walk_regular_fixtures_constant(self, name):
         assert canonical_verdict(bundle_of(name)).constancy.is_constant
 
@@ -271,29 +274,19 @@ class TestLambdaSetAndConstancy:
 
 
 class TestNonOptimalityWitness:
-    """The witness the verdict builds for its argmax set."""
+    """The witness the verdict reports for a connected graph's argmax set."""
 
     def test_cubic8_found(self):
         b = bundle_of("figure2")
-        witness = erasure._witness(b, canonical_verdict(b).lambda1)
-        assert witness is not None
-        assert witness.vertices == (1, 4, 6, 7)
-        assert np.array_equal(witness.coefficients, np.ones(8))
-        assert witness.dependence_residual <= 1e-9
-
-    def test_k3_absent(self):
-        # the argmax set is the whole frame, which is dependent
-        b = bundle_of("k3")
-        assert erasure._witness(b, canonical_verdict(b).lambda1) is None
-
-    def test_two_component_fixture_absent(self):
-        # four 4-cycle columns span only a 3-dimensional block
-        b = bundle_of("figure1")
-        assert erasure._witness(b, canonical_verdict(b).lambda1) is None
+        basis = canonical_verdict(b).verdict_basis
+        assert basis["certificate"] == "independent_argmax_with_global_dependence"
+        assert basis["witness_vertices"] == [1, 4, 6, 7]
+        assert np.linalg.matrix_rank(b.frame.synthesis[:, [1, 4, 6, 7]]) == 4
+        assert basis["dependence_residual"] <= 1e-9
 
 
 class TestProductsComputedOnce:
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_verdict_matches_public_helpers(self, name):
         b = bundle_of(name)
         report = canonical_verdict(b)
@@ -341,7 +334,7 @@ class TestVerdicts:
         # connected, irregular (so not walk-regular), yet constant products:
         # the constancy certificate decides, not the walk-regular theorem
         for name, product in (("c4_corona", math.sqrt(9 / 8)), ("k4_corona", 1.0)):
-            g = fixtures.FIXTURES[name]()
+            g = FIXTURES[name]()
             assert g.is_connected and not is_walk_regular(g).is_walk_regular
             report = canonical_verdict(bundle_of(name))
             assert report.verdict == VERDICT_UNIQUE_ALL
@@ -369,7 +362,7 @@ class TestVerdicts:
         # cubic8 plus a path: disconnected, non-constant, and the argmax
         # component has non-constant products, so no certificate applies;
         # od-search, not the verdict, finds the better dual
-        g = disjoint_union(fixtures.cubic8(), path(3))
+        g = disjoint_union(cubic8(), path(3))
         report = canonical_verdict(build_lg_frame(g))
         assert report.verdict == VERDICT_INCONCLUSIVE
         assert report.verdict_basis == {"certificate": "none"}
@@ -462,7 +455,7 @@ class TestPerComponentRule:
 
     def test_constant_irregular_component_attains_max(self, census_calls):
         # C4∘K1 (every product √(9/8)) beats the path P3 (top product 0.745)
-        b = build_lg_frame(disjoint_union(fixtures.c4_corona(), path(3)))
+        b = build_lg_frame(disjoint_union(c4_corona(), path(3)))
         report = canonical_verdict(b)
         assert report.verdict == VERDICT_OD_SINGLE
         basis = report.verdict_basis
@@ -478,7 +471,7 @@ class TestPerComponentRule:
 
     def test_non_constant_component_above_it(self):
         # P6's product 1.312 tops √(9/8), and P6's products are not constant
-        b = build_lg_frame(disjoint_union(fixtures.c4_corona(), path(6)))
+        b = build_lg_frame(disjoint_union(c4_corona(), path(6)))
         report = canonical_verdict(b)
         assert report.verdict == VERDICT_INCONCLUSIVE
         assert report.verdict_basis == {"certificate": "none"}
@@ -534,7 +527,7 @@ class TestPerturbationSearch:
 
 def probe_bundles():
     """The fixtures plus 36 seeded graphs, every third of them two components."""
-    bundles = [bundle_of(name) for name in sorted(fixtures.FIXTURES)]
+    bundles = [bundle_of(name) for name in sorted(FIXTURES)]
     rng = np.random.default_rng(4242)
     for trial in range(36):
         if trial % 3 == 0:
@@ -854,7 +847,7 @@ class TestSearchQualityPins:
     @staticmethod
     def cases():
         yield "figure2", bundle_of("figure2"), {}
-        yield "cubic8-2000", build_lg_frame(fixtures.cubic8()), dict(trials=2000, radius=0.01, seed=0)
+        yield "cubic8-2000", build_lg_frame(cubic8()), dict(trials=2000, radius=0.01, seed=0)
         rng = np.random.default_rng(1010)
         for i in range(4):
             g = random_connected_graph(rng, 6, 10)

@@ -1,6 +1,7 @@
 """Frame construction, dual family, unitary equivalence, and spark."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,9 +14,8 @@ from gframes import (
     canonical_dual,
     degree_sequence,
     dual_family_member,
-    fixtures,
     laplacian_matrix,
-    moore_penrose,
+    numerical_rank,
     relabel_by_component,
     spark,
     spark_via_components,
@@ -25,13 +25,18 @@ from gframes import (
 from gframes.frames import _CHUNK_ENTRIES
 
 from _oracles import (
+    FIXTURES,
     alt_frame_cubic8,
     alt_frame_two_component,
+    k3_plus_c4,
+    petersen,
+    random_connected_graph,
     spark_by_subsets,
+    two_triangles,
     unitary_equivalence_witness,
 )
 
-ALL_FIXTURES = sorted(fixtures.FIXTURES)
+ALL_FIXTURES = sorted(FIXTURES)
 
 
 def is_full_spark(frame):
@@ -40,7 +45,7 @@ def is_full_spark(frame):
 
 
 def bundle_of(name):
-    return build_lg_frame(fixtures.FIXTURES[name]())
+    return build_lg_frame(FIXTURES[name]())
 
 
 class TestBuild:
@@ -67,7 +72,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_contract_on_fixtures(self, name):
-        g = fixtures.FIXTURES[name]()
+        g = FIXTURES[name]()
         b = build_lg_frame(g)
         lap = laplacian_matrix(b.graph)
         assert np.abs(b.frame.gramian - lap).max() <= 1e-8
@@ -153,7 +158,7 @@ class TestCanonicalDual:
         b = bundle_of(name)
         dual = canonical_dual(b)
         squared = np.sum(dual ** 2, axis=0)
-        pinv_diag = np.diag(moore_penrose(laplacian_matrix(b.graph)))
+        pinv_diag = np.diag(np.linalg.pinv(laplacian_matrix(b.graph)))
         assert np.abs(squared - pinv_diag).max() <= 1e-8
 
 
@@ -305,7 +310,7 @@ class TestSpark:
             # two paths whose labels interleave: 4-0-5 and 1-2-3
             g = Graph(6, frozenset({(0, 4), (0, 5), (1, 2), (2, 3)}))
         else:
-            g = fixtures.FIXTURES[name]()
+            g = FIXTURES[name]()
         frame = build_lg_frame(g).frame
         assert spark(frame) == spark_by_subsets(frame)
 
@@ -340,9 +345,32 @@ class TestSpark:
         assert {1, 2, 3, "full"} <= seen
 
     def test_component_formula(self):
-        assert spark_via_components(fixtures.k3_plus_c4()) == 3
-        assert spark_via_components(fixtures.two_triangles()) == 3
-        assert spark_via_components(fixtures.petersen()) == 10
+        assert spark_via_components(k3_plus_c4()) == 3
+        assert spark_via_components(two_triangles()) == 3
+        assert spark_via_components(petersen()) == 10
+
+    def test_dependent_exactly_when_holding_a_component(self):
+        # xᵀL[Λ,Λ]x = Σ_{uv ∈ E(G[Λ])} (x_u − x_v)² + Σ_{v∈Λ} d_out(v)·x_v²: the
+        # columns Λ are dependent exactly when Λ contains a whole component,
+        # checked on every column subset against the numerical rank at 1e-8
+        rng = np.random.default_rng(4)
+        outcomes = set()
+        for trial in range(150):
+            if trial % 3 == 2:
+                a, b = (random_connected_graph(rng, 2, 4) for _ in range(2))
+                g = Graph(a.n + b.n, a.edges | {(u + a.n, v + a.n) for u, v in b.edges})
+            else:
+                g = random_connected_graph(rng, 4, 8)
+            synthesis = build_lg_frame(g).frame.synthesis
+            components = [set(comp) for comp in g.components]
+            for size in range(1, g.n + 1):
+                subsets = list(combinations(range(g.n), size))
+                ranks = numerical_rank(np.take(synthesis, subsets, axis=1).swapaxes(0, 1), 1e-8)
+                for subset, rank in zip(subsets, ranks):
+                    whole = any(comp <= set(subset) for comp in components)
+                    assert (rank < size) == whole, (sorted(g.edges), subset)
+                    outcomes.add((len(components), whole))
+        assert outcomes == {(1, False), (1, True), (2, False), (2, True)}
 
     def test_component_formula_rejects_isolated(self):
         with pytest.raises(ValueError, match="isolated"):
@@ -350,7 +378,7 @@ class TestSpark:
 
     @pytest.mark.parametrize("name", ["figure1", "two_triangles"])
     def test_methods_agree_on_disconnected_fixtures(self, name):
-        g = fixtures.FIXTURES[name]()
+        g = FIXTURES[name]()
         assert spark(build_lg_frame(g).frame) == spark_via_components(g)
 
 

@@ -6,9 +6,7 @@ import pytest
 from gframes import (
     EdgeListError,
     Graph,
-    adjacency_matrix,
     degree_sequence,
-    fixtures,
     is_regular,
     laplacian_matrix,
     numerical_rank,
@@ -16,7 +14,7 @@ from gframes import (
     relabel_by_component,
 )
 
-from _oracles import fixture_path
+from _oracles import FIXTURES, cubic8, fixture_path, k3, k3_plus_c4, path3, petersen
 
 TRIANGLE_PLUS_SQUARE_LAPLACIAN = np.array([
     [2, -1, -1, 0, 0, 0, 0],
@@ -45,7 +43,7 @@ class TestParsing:
         g = parse_edge_list("3 3\n1 2\n2 3\n1 3")
         assert g.n == 3 and g.m == 3
         assert len(g.components) == 1
-        assert g.edges == fixtures.k3().edges
+        assert g.edges == k3().edges
 
     def test_two_component_graph(self):
         g = parse_edge_list("7 7\n1 2\n1 3\n2 3\n4 5\n4 7\n5 6\n6 7")
@@ -87,10 +85,10 @@ class TestParsing:
         with pytest.raises(EdgeListError, match="line 2"):
             parse_edge_list("3 1\n1 2 3")
 
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_bundled_files_match_registry(self, name):
         g = parse_edge_list(fixture_path(name).read_text())
-        expected = fixtures.FIXTURES[name]()
+        expected = FIXTURES[name]()
         assert g.n == expected.n
         assert g.edges == expected.edges
 
@@ -98,90 +96,89 @@ class TestParsing:
 class TestMatrices:
     def test_k3_adjacency(self):
         expected = np.ones((3, 3)) - np.eye(3)
-        assert np.array_equal(adjacency_matrix(fixtures.k3()), expected)
+        assert np.array_equal(k3().adjacency, expected)
 
     def test_single_vertex(self):
         g = Graph(1, frozenset())
-        assert np.array_equal(adjacency_matrix(g), np.zeros((1, 1)))
+        assert np.array_equal(g.adjacency, np.zeros((1, 1)))
 
     def test_cubic8_adjacency_is_3i_minus_laplacian(self):
-        a = adjacency_matrix(fixtures.cubic8())
+        a = cubic8().adjacency
         assert np.array_equal(a, 3 * np.eye(8) - CUBIC8_LAPLACIAN)
 
     def test_k3_laplacian(self):
         expected = np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], dtype=float)
-        assert np.array_equal(laplacian_matrix(fixtures.k3()), expected)
+        assert np.array_equal(laplacian_matrix(k3()), expected)
 
     def test_edgeless_laplacian(self):
         g = Graph(2, frozenset())
         assert np.array_equal(laplacian_matrix(g), np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_laplacian_identities(self, name):
-        g = fixtures.FIXTURES[name]()
+        g = FIXTURES[name]()
         lap = laplacian_matrix(g)
         assert np.array_equal(lap, lap.T)
         assert np.array_equal(lap.sum(axis=1), np.zeros(g.n))
-        rebuilt = np.diag(degree_sequence(g)).astype(float) - adjacency_matrix(g)
+        rebuilt = np.diag(degree_sequence(g)).astype(float) - g.adjacency
         assert np.array_equal(lap, rebuilt)
 
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_laplacian_rank_counts_components(self, name):
-        g = fixtures.FIXTURES[name]()
+        g = FIXTURES[name]()
         rank = numerical_rank(laplacian_matrix(g), 1e-9)
         assert rank == g.n - len(g.components)
 
 
 class TestCachedAdjacency:
     def test_read_only(self):
-        g = fixtures.k3()
+        g = k3()
         assert g.adjacency is g.adjacency
         assert not g.adjacency.flags.writeable
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 5.0
 
     def test_writes_to_copies_do_not_leak(self):
-        g = fixtures.cubic8()
-        expected_adjacency, expected_laplacian = adjacency_matrix(g), laplacian_matrix(g)
-        a = adjacency_matrix(g)
+        g = cubic8()
+        expected_adjacency, expected_laplacian = g.adjacency.copy(), laplacian_matrix(g)
+        a = g.adjacency.copy()
         a[:] = 7.0
         lap = laplacian_matrix(g)
         lap[:] = 7.0
-        assert np.array_equal(adjacency_matrix(g), expected_adjacency)
+        assert np.array_equal(g.adjacency, expected_adjacency)
         assert np.array_equal(laplacian_matrix(g), expected_laplacian)
         assert np.array_equal(laplacian_matrix(g), CUBIC8_LAPLACIAN)
 
-    @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_matches_edge_by_edge_construction(self, name):
-        g = fixtures.FIXTURES[name]()
+        g = FIXTURES[name]()
         expected = np.zeros((g.n, g.n))
         for u, v in g.edges:
             expected[u, v] = expected[v, u] = 1.0
-        assert np.array_equal(adjacency_matrix(g), expected)
-        assert adjacency_matrix(g).flags.writeable
+        assert np.array_equal(g.adjacency, expected)
 
 
 class TestDegrees:
     def test_degree_examples(self):
-        assert degree_sequence(fixtures.k3()) == [2, 2, 2]
-        assert degree_sequence(fixtures.k3_plus_c4()) == [2] * 7
-        assert degree_sequence(fixtures.cubic8()) == [3] * 8
+        assert degree_sequence(k3()) == [2, 2, 2]
+        assert degree_sequence(k3_plus_c4()) == [2] * 7
+        assert degree_sequence(cubic8()) == [3] * 8
 
     def test_is_regular(self):
-        assert is_regular(fixtures.k3()) == 2
-        assert is_regular(fixtures.cubic8()) == 3
-        assert is_regular(fixtures.path3()) is None
+        assert is_regular(k3()) == 2
+        assert is_regular(cubic8()) == 3
+        assert is_regular(path3()) is None
 
 
 class TestRelabeling:
     def test_already_contiguous(self):
-        g = fixtures.k3_plus_c4()
+        g = k3_plus_c4()
         relabeled, mapping = relabel_by_component(g)
         assert relabeled is g
         assert mapping == tuple(range(7))
 
     def test_connected_graph_unchanged(self):
-        g = fixtures.petersen()
+        g = petersen()
         relabeled, mapping = relabel_by_component(g)
         assert relabeled is g and mapping == tuple(range(10))
 
@@ -226,8 +223,14 @@ class TestGraphType:
             Graph(2, frozenset({(0, 2)}))
 
     def test_rejects_bad_vertex_count(self):
-        with pytest.raises(ValueError, match="positive"):
-            Graph(0, frozenset())
+        for n in (0, True, 2.0):
+            with pytest.raises(ValueError, match=f"positive integer, got {n!r}"):
+                Graph(n, frozenset())
+
+    def test_accepts_numpy_integer_vertex_count(self):
+        g = Graph(np.int64(3), frozenset({(0, 2)}))
+        assert g.n == 3 and type(g.n) is int
+        assert g.adjacency.shape == (3, 3)
 
     def test_edges_normalized(self):
         g = Graph(3, frozenset({(2, 0)}))

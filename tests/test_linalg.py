@@ -1,6 +1,6 @@
-"""Eigensolver contract, pseudoinverse axioms, norms, ranks, the exact
-adjacency-power diagonals behind the walk census, and the closed-form
-determinant oracle."""
+"""Eigensolver contract, the pseudoinverse its zero split stands for,
+norms, ranks, the exact adjacency-power diagonals behind the walk census,
+and the closed-form determinant oracle."""
 
 import functools
 from itertools import combinations
@@ -11,24 +11,26 @@ import pytest
 from gframes import (
     ConvergenceError,
     Graph,
-    adjacency_matrix,
     eigh_symmetric,
-    fixtures,
     is_walk_regular_definition,
     laplacian_matrix,
-    moore_penrose,
     numerical_rank,
     spectral_norm,
 )
 from gframes.walkreg import _power_diagonals
 
 from _oracles import (
+    FIXTURES,
     bareiss_det,
     circulant_graph,
     count_closed_walks,
+    cubic8,
     generalized_vandermonde_det,
     jacobi_eigh,
+    k3,
+    k3_plus_c4,
     object_power_diagonals,
+    petersen,
     random_symmetric,
     regular_census_graphs,
 )
@@ -44,24 +46,24 @@ _INT64_MAX = 2**63 - 1
 def fixture_matrices():
     out = []
     for name in MATRIX_FIXTURES:
-        g = fixtures.FIXTURES[name]()
+        g = FIXTURES[name]()
         out.append((f"L({name})", laplacian_matrix(g)))
-        out.append((f"A({name})", adjacency_matrix(g)))
+        out.append((f"A({name})", g.adjacency))
     return out
 
 
 class TestEigh:
     def test_k3_laplacian_eigenvalues(self):
         # characteristic polynomial of the triangle Laplacian: x(x-3)^2
-        spectrum = eigh_symmetric(laplacian_matrix(fixtures.k3()))
+        spectrum = eigh_symmetric(laplacian_matrix(k3()))
         assert np.allclose(spectrum.eigenvalues, [3.0, 3.0, 0.0], atol=1e-12)
 
     def test_two_component_spectrum(self):
-        spectrum = eigh_symmetric(laplacian_matrix(fixtures.k3_plus_c4()))
+        spectrum = eigh_symmetric(laplacian_matrix(k3_plus_c4()))
         assert np.allclose(spectrum.eigenvalues, [4, 3, 3, 2, 2, 0, 0], atol=1e-9)
 
     def test_cubic8_spectrum(self):
-        spectrum = eigh_symmetric(laplacian_matrix(fixtures.cubic8()))
+        spectrum = eigh_symmetric(laplacian_matrix(cubic8()))
         r2, r3 = np.sqrt(2), np.sqrt(3)
         expected = sorted([4, 4, 2, 4 - r2, 4 + r2, 3 - r3, 3 + r3, 0], reverse=True)
         assert np.allclose(spectrum.eigenvalues, expected, atol=1e-9)
@@ -96,7 +98,7 @@ class TestEigh:
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_sign_convention(self):
-        spectrum = eigh_symmetric(laplacian_matrix(fixtures.petersen()))
+        spectrum = eigh_symmetric(laplacian_matrix(petersen()))
         for j in range(spectrum.n):
             col = spectrum.eigenvectors[:, j]
             assert col[np.argmax(np.abs(col))] > 0
@@ -144,28 +146,44 @@ class TestAgainstJacobiOracle:
             assert np.abs(mine - oracle).max() <= 1e-8
 
 
+def spectral_pinv(m) -> np.ndarray:
+    """The pseudoinverse an :func:`eigh_symmetric` spectrum stands for:
+    eigenvalues above its ``zero_tol`` inverted, the rest zeroed, rebuilt
+    in the same eigenbasis."""
+    spectrum = eigh_symmetric(m)
+    vals = spectrum.eigenvalues
+    inverted = np.zeros_like(vals)
+    keep = np.abs(vals) > spectrum.zero_tol
+    inverted[keep] = 1.0 / vals[keep]
+    return (spectrum.eigenvectors * inverted) @ spectrum.eigenvectors.T
+
+
 class TestMoorePenrose:
+    """The spectrum's split at ``zero_tol``, by which the frame build counts
+    components, separates the null space exactly: inverting the rest gives
+    the Moore-Penrose pseudoinverse."""
+
     def test_diagonal(self):
-        assert np.allclose(moore_penrose(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
+        assert np.allclose(spectral_pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
 
     def test_identity(self):
-        assert np.allclose(moore_penrose(np.eye(5)), np.eye(5), atol=1e-12)
+        assert np.allclose(spectral_pinv(np.eye(5)), np.eye(5), atol=1e-12)
 
     def test_k3_closed_form(self):
         # candidate (3I - J)/9 satisfies all four axioms, hence is the pseudoinverse
-        lap = laplacian_matrix(fixtures.k3())
+        lap = laplacian_matrix(k3())
         candidate = (3 * np.eye(3) - np.ones((3, 3))) / 9
         assert np.abs(lap @ candidate @ lap - lap).max() <= 1e-12
         assert np.abs(candidate @ lap @ candidate - candidate).max() <= 1e-12
         assert np.array_equal((lap @ candidate).T, lap @ candidate)
         assert np.array_equal((candidate @ lap).T, candidate @ lap)
-        computed = moore_penrose(lap)
+        computed = spectral_pinv(lap)
         assert np.abs(computed - candidate).max() <= 1e-12
         assert np.allclose(np.diag(computed), 2.0 / 9.0, atol=1e-12)
 
     @pytest.mark.parametrize("label,matrix", fixture_matrices())
     def test_penrose_axioms_on_fixtures(self, label, matrix):
-        pinv = moore_penrose(matrix)
+        pinv = spectral_pinv(matrix)
         assert np.abs(matrix @ pinv @ matrix - matrix).max() <= 1e-8
         assert np.abs(pinv @ matrix @ pinv - pinv).max() <= 1e-8
         assert np.abs(matrix @ pinv - (matrix @ pinv).T).max() <= 1e-10
@@ -173,7 +191,7 @@ class TestMoorePenrose:
 
     @pytest.mark.parametrize("label,matrix", fixture_matrices())
     def test_agrees_with_lapack_pinv(self, label, matrix):
-        assert np.abs(moore_penrose(matrix) - np.linalg.pinv(matrix)).max() <= 1e-9
+        assert np.abs(spectral_pinv(matrix) - np.linalg.pinv(matrix)).max() <= 1e-9
 
 
 def power_diagonals(g, p_max):
@@ -185,23 +203,23 @@ class TestMatrixPowerDiagonal:
     """diag(A^p) from the walk census's kernel, which yields every power."""
 
     def test_triangle_walk_counts(self):
-        assert power_diagonals(fixtures.k3(), 3)[1:] == [[2, 2, 2], [2, 2, 2]]
+        assert power_diagonals(k3(), 3)[1:] == [[2, 2, 2], [2, 2, 2]]
 
     @pytest.mark.parametrize("name", ["k3", "c4", "path3"])
     def test_matches_walk_enumeration(self, name):
-        g = fixtures.FIXTURES[name]()
+        g = FIXTURES[name]()
         for p, diag in enumerate(power_diagonals(g, 5), start=1):
             assert diag == [count_closed_walks(g, v, p) for v in range(g.n)]
 
     def test_cubic8_has_nonconstant_power(self):
-        spreads = [max(d) - min(d) for d in power_diagonals(fixtures.cubic8(), 7)]
+        spreads = [max(d) - min(d) for d in power_diagonals(cubic8(), 7)]
         assert any(s > 0 for s in spreads)
 
     def test_overflow_raises(self):
         # K20: A^p has (19^p + 19(-1)^p)/20 on its diagonal and
         # (19^p - (-1)^p)/20 off it, inside int64 up to p = 15, past it at 16
         g = Graph(20, frozenset(combinations(range(20), 2)))
-        a = adjacency_matrix(g).astype(np.int64)
+        a = g.adjacency.astype(np.int64)
         assert [max(diag) > _INT64_MAX for diag in object_power_diagonals(a, 16)[-2:]] == [
             False, True]
         message = "integer matrix power overflows 64-bit range at power 16"
@@ -211,14 +229,14 @@ class TestMatrixPowerDiagonal:
     def test_rejects_bad_power(self):
         for p_max in (-1, 2.0, "3"):
             with pytest.raises(ValueError, match="p_max must be a positive integer"):
-                is_walk_regular_definition(fixtures.k3(), p_max)
+                is_walk_regular_definition(k3(), p_max)
 
 
 def int64_reach(g) -> int:
     """Largest p with Δ^p <= 2^63 - 1, Δ the largest row sum of the adjacency
     matrix in Python ints (capped at 200 for Δ <= 1): the powers the int64
     census route covers."""
-    delta = max(sum(row) for row in adjacency_matrix(g).astype(int).tolist())
+    delta = max(sum(row) for row in g.adjacency.astype(int).tolist())
     p = 0
     while p < 200 and delta ** (p + 1) <= _INT64_MAX:
         p += 1
@@ -227,7 +245,7 @@ def int64_reach(g) -> int:
 
 def _census_graphs():
     """The fixtures, named regular graphs, and seeded circulants."""
-    graphs = [(name, fixtures.FIXTURES[name]()) for name in sorted(fixtures.FIXTURES)]
+    graphs = [(name, FIXTURES[name]()) for name in sorted(FIXTURES)]
     graphs += list(regular_census_graphs().items())
     rng = np.random.default_rng(19)
     for _ in range(4):
@@ -247,7 +265,7 @@ C80 = circulant_graph(80, (1, 2))
 
 @functools.cache
 def c80_diagonals() -> list:
-    return object_power_diagonals(adjacency_matrix(C80).astype(np.int64), 34)
+    return object_power_diagonals(C80.adjacency.astype(np.int64), 34)
 
 
 def checked(diagonals) -> tuple:
@@ -266,12 +284,12 @@ class TestExactCensusRoutes:
         assert p_max >= min(3, g.n)
         diagonals = list(_power_diagonals(g, p_max))
         assert all(diag.dtype == np.int64 for diag in diagonals)
-        a = adjacency_matrix(g).astype(np.int64)
+        a = g.adjacency.astype(np.int64)
         assert [diag.tolist() for diag in diagonals] == object_power_diagonals(a, p_max)
 
     @pytest.mark.parametrize("name", ["k3", "c4", "path3", "petersen"])
     def test_int64_route_matches_walk_enumeration(self, name):
-        g = fixtures.FIXTURES[name]()
+        g = FIXTURES[name]()
         for p, diag in enumerate(power_diagonals(g, 6), start=1):
             assert diag == [count_closed_walks(g, v, p) for v in range(g.n)]
 
@@ -294,7 +312,7 @@ class TestExactCensusRoutes:
         assert report.checked_powers == checked(c80_diagonals()[:33])
 
     def test_just_outside_the_bound_raises_where_int64_would_wrap(self):
-        a = adjacency_matrix(C80).astype(np.int64)
+        a = C80.adjacency.astype(np.int64)
         assert c80_diagonals()[33][0] > _INT64_MAX
         assert np.linalg.matrix_power(a, 34)[0, 0] != c80_diagonals()[33][0]  # int64 wraps
         diagonals = _power_diagonals(C80, 34)
@@ -329,11 +347,11 @@ class TestSpectralNorm:
 
 class TestNumericalRank:
     def test_two_component_laplacian(self):
-        lap = laplacian_matrix(fixtures.k3_plus_c4())
+        lap = laplacian_matrix(k3_plus_c4())
         assert numerical_rank(lap, 1e-9) == 5
 
     def test_k3(self):
-        assert numerical_rank(laplacian_matrix(fixtures.k3()), 1e-9) == 2
+        assert numerical_rank(laplacian_matrix(k3()), 1e-9) == 2
 
     def test_zero(self):
         assert numerical_rank(np.zeros((3, 3)), 1e-9) == 0
