@@ -226,7 +226,7 @@ def _graph_section(g, with_walk: bool) -> dict:
     if with_walk:
         spectrum = eigh_symmetric(laplacian_matrix(g))
         section["laplacian_spectrum"] = [float(v) for v in spectrum.eigenvalues]
-        certified = is_walk_regular(g)
+        certified = is_walk_regular(g, spectrum.eigenvalues)
         walk = {
             "is_walk_regular": certified.is_walk_regular,
             "distinct_nonzero_eigenvalues": certified.distinct_nonzero_eigenvalue_count,

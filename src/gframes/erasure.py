@@ -529,8 +529,12 @@ def canonical_verdict(bundle: GraphFrameBundle) -> ErasureReport:
     )
 
     # walk-regular implies regular (diag A² is the degree sequence), and the
-    # census of an irregular graph fails at power 2, so it is skipped there
-    if is_regular(bundle.graph) is not None and is_walk_regular(bundle.graph).is_walk_regular:
+    # census of an irregular graph fails at power 2, so it is skipped there;
+    # the bundle's nonzero Laplacian eigenvalues and one zero per component
+    # give the adjacency spectrum without a second eigensolve
+    laplacian_eigenvalues = np.concatenate([bundle.eigenvalues, np.zeros(bundle.component_count)])
+    if (is_regular(bundle.graph) is not None
+            and is_walk_regular(bundle.graph, laplacian_eigenvalues).is_walk_regular):
         basis = {"certificate": "walk_regular_graph", "uniqueness": "unique"}
         return ErasureReport(verdict=VERDICT_UNIQUE_ALL, verdict_basis=basis, **report)
 

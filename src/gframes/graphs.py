@@ -11,9 +11,11 @@ rounding error originates in this module.
 from __future__ import annotations
 
 import operator
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -28,8 +30,8 @@ class Graph:
     Edges are stored as a frozenset of ``(u, v)`` pairs with ``u < v``;
     self-loops are rejected and duplicates collapse by set semantics.
     The vertex count and the labels must be integers (numpy integers
-    included, ``bool`` excluded for the count); anything else raises
-    ``ValueError`` rather than being truncated.
+    included, ``bool`` excluded); anything else raises ``ValueError``
+    rather than being truncated.
     """
 
     n: int
@@ -47,6 +49,8 @@ class Graph:
         for edge in self.edges:
             u, v = edge
             try:
+                if isinstance(u, bool) or isinstance(v, bool):
+                    raise TypeError
                 u, v = operator.index(u), operator.index(v)
             except TypeError:
                 raise ValueError(f"edge {edge!r} has a non-integer vertex label") from None
@@ -56,6 +60,15 @@ class Graph:
                 raise ValueError(f"edge {edge!r} out of range for n={self.n}")
             normalized.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(normalized))
+
+    @classmethod
+    def _checked(cls, n: int, edges: frozenset) -> "Graph":
+        """A graph from a positive int ``n`` and int pairs ``(u, v)`` with
+        ``0 <= u < v < n``, which the caller has already checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @property
     def m(self) -> int:
@@ -74,10 +87,10 @@ class Graph:
         """Read-only symmetric 0/1 adjacency matrix with zero diagonal; a
         caller that writes takes a copy."""
         a = np.zeros((self.n, self.n))
-        if self.edges:
-            u, v = np.array(list(self.edges)).T
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        pairs = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * self.m)
+        u, v = pairs[0::2], pairs[1::2]
+        a[u, v] = 1.0
+        a[v, u] = 1.0
         a.flags.writeable = False
         return a
 
@@ -107,13 +120,83 @@ class Graph:
         return len(self.components) == 1
 
 
+#: Comment lines up to their end: "#" after blanks, then anything but the
+#: line boundaries of ``str.splitlines`` ("\r\n" is made "\n" first). A
+#: string, which ``re`` compiles on first use rather than at import.
+_COMMENT_LINE = r"(?m)^[ \t]*#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*"
+#: Byte classes of the plain format, as a ``bytes.translate`` table:
+#: 0 anything else, 1 digit, 2 blank, 3 newline.
+_BYTE_CLASS = bytes(1 if chr(c) in "0123456789" else 2 if chr(c) in " \t" else 3 if chr(c) == "\n"
+                    else 0 for c in range(256))
+#: Longest label the plain path reads; 18 digits stay below 2^63.
+_MAX_DIGITS = 18
+#: Shorter files go straight to the line scan: it costs about 1 µs a line,
+#: the array path about 35 µs plus 0.2 µs a line (one core, numpy 2.4).
+_PLAIN_MIN_LINES = 64
+
+
+def _parse_plain(text: str) -> Optional[Graph]:
+    """The graph of a valid edge list in the plain format, or ``None``.
+
+    Plain means ASCII digits, spaces, tabs and line ends, with comment
+    lines, and every other line blank or two labels of at most 18 digits.
+    The labels are checked as one int array: in range, no self-loop, no
+    repeated pair (by a sort), and exactly ``m`` of them. Any input this
+    rejects, valid or not, goes to the line scan, :func:`_parse_lines`,
+    which names the first error.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if "#" in text:
+        text = re.sub(_COMMENT_LINE, "", text)
+    if not text.isascii():
+        return None
+    kind = np.frombuffer(text.encode("ascii").translate(_BYTE_CLASS), dtype=np.uint8)
+    if not kind.all():
+        return None
+    digit = kind == 1
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    last = digit.copy()
+    last[:-1] &= ~digit[1:]
+    starts = np.flatnonzero(first)
+    if starts.size == 0 or (np.flatnonzero(last) - starts).max() >= _MAX_DIGITS:
+        return None
+    per_line = np.bincount(np.cumsum(kind == 3)[starts])
+    if np.any((per_line != 0) & (per_line != 2)):
+        return None
+    labels = np.fromstring(text, dtype=np.int64, sep=" ")
+    n, m = int(labels[0]), int(labels[1])
+    # n <= 2^31 keeps the pair keys lo * n + hi below 2^63
+    if not 1 <= n <= 2**31 or labels.size != 2 * m + 2:
+        return None
+    u, v = labels[2::2], labels[3::2]
+    lo, hi = np.minimum(u, v) - 1, np.maximum(u, v) - 1
+    if m and (lo.min() < 0 or hi.max() >= n or np.any(lo == hi)):
+        return None
+    keys = np.sort(lo * n + hi)
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    return Graph._checked(n, frozenset(zip(lo.tolist(), hi.tolist())))
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: ``n m`` header, then ``m`` lines ``u v``.
 
     Lines starting with ``#`` and blank lines are ignored. Vertex labels in
     the file are 1-based. Duplicate edges (including reversed repeats),
     self-loops, and out-of-range labels are reported with their line number.
+    A file of at least 64 lines in the plain format is read as one array
+    (:func:`_parse_plain`); any other file, or one that fails a check there,
+    is read line by line.
     """
+    g = _parse_plain(text) if text.count("\n") >= _PLAIN_MIN_LINES else None
+    return g if g is not None else _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
+    """Parse any edge list line by line, raising :class:`EdgeListError` at
+    the first error with its line number."""
     n = m = None
     edges = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -155,7 +238,7 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListError("missing 'n m' header")
     if len(edges) != m:
         raise EdgeListError(f"declared {m} edges but found {len(edges)}")
-    return Graph(n, frozenset(edges))
+    return Graph._checked(n, frozenset(edges))
 
 
 def degree_sequence(g: Graph) -> list:

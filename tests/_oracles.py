@@ -249,6 +249,12 @@ def kneser_graph(m: int, k: int) -> Graph:
                                       if not sets[i] & sets[j]))
 
 
+def rook_graph(m: int) -> Graph:
+    """The m x m rook's graph: cells adjacent when they share a row or a column."""
+    return Graph(m * m, frozenset((i, j) for i, j in combinations(range(m * m), 2)
+                                  if i // m == j // m or i % m == j % m))
+
+
 def regular_census_graphs() -> dict:
     """Vertex-transitive graphs whose walk census runs every power up to k in int64."""
     return {"C36(1,2)": circulant_graph(36, (1, 2)),

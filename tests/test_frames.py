@@ -130,6 +130,45 @@ class TestSpanningCheck:
     def test_accepts_spanning(self, synthesis):
         assert Frame(np.array(synthesis)).dim == 2
 
+    @pytest.mark.parametrize("name", ALL_FIXTURES + ["random"])
+    def test_graph_frames_need_no_eigensolve(self, monkeypatch, name):
+        # a graph frame's operator is diagonal, so Gershgorin's discs prove spanning
+        g = random_connected_graph(np.random.default_rng(5), 60, 60) if name == "random" \
+            else FIXTURES[name]()
+        bundle = build_lg_frame(g)
+
+        def refuse(_):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert Frame(bundle.frame.synthesis).dim == bundle.frame.dim
+
+    def test_same_verdict_as_the_eigenvalue_rule(self):
+        rng = np.random.default_rng(24)
+        verdicts = set()
+        for trial in range(300):
+            k = int(rng.integers(1, 6))
+            n = k + int(rng.integers(0, 4))
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            # singular values from 1 down to a smallest one near the rule's threshold
+            top = 10.0 ** rng.uniform(-3, 3)
+            sv = top * np.sort(10.0 ** rng.uniform(-7.5, 0, k))[::-1]
+            if trial % 3 == 0:
+                sv[-1] = 0.0
+            basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:k]
+            synthesis = (q * sv) @ basis
+            if trial % 5 == 0:  # rows far from orthogonal: discs that overlap zero
+                synthesis[0] += synthesis[-1]
+            eigenvalues = np.linalg.eigvalsh(synthesis @ synthesis.T)
+            spans = eigenvalues[0] > 1e-12 * max(1.0, float(eigenvalues[-1]))
+            verdicts.add(spans)
+            if spans:
+                assert Frame(synthesis).dim == k
+            else:
+                with pytest.raises(ValueError, match="do not span"):
+                    Frame(synthesis)
+        assert verdicts == {True, False}
+
 
 class TestCanonicalDual:
     def test_k3_scalar_operator(self):

@@ -13,8 +13,11 @@ from gframes import (
     parse_edge_list,
     relabel_by_component,
 )
+from gframes import graphs
+from gframes.graphs import _parse_lines, _parse_plain
 
-from _oracles import FIXTURES, cubic8, fixture_path, k3, k3_plus_c4, path3, petersen
+from _oracles import (FIXTURES, cubic8, edge_list_text, fixture_path, k3, k3_plus_c4, path3,
+                      petersen, random_connected_graph)
 
 TRIANGLE_PLUS_SQUARE_LAPLACIAN = np.array([
     [2, -1, -1, 0, 0, 0, 0],
@@ -91,6 +94,100 @@ class TestParsing:
         expected = FIXTURES[name]()
         assert g.n == expected.n
         assert g.edges == expected.edges
+
+
+#: Every error the parser reports: (id, text, message with its line prefix, line).
+PARSE_ERRORS = [
+    ("bad-header", "3 vertices 2\n1 2", "line 1: expected header 'n m', got '3 vertices 2'", 1),
+    ("non-integer-header", "# c\n3 x\n1 2", "line 2: non-integer header '3 x'", 2),
+    ("zero-vertices", "0 0\n", "line 1: vertex count must be positive, got 0", 1),
+    ("negative-edge-count", "3 -1\n", "line 1: edge count must be nonnegative, got -1", 1),
+    ("missing-header", "# nothing here\n\n", "missing 'n m' header", None),
+    ("malformed-edge", "3 1\n1 2 3", "line 2: expected edge 'u v', got '1 2 3'", 2),
+    ("non-integer-label", "3 1\n\n1 x", "line 3: non-integer edge '1 x'", 3),
+    ("out-of-range", "3 1\n1 4", "line 2: vertex out of range [1, 3] in edge 1 4", 2),
+    ("zero-label", "3 1\n0 1", "line 2: vertex out of range [1, 3] in edge 0 1", 2),
+    ("self-loop", "2 1\n1 1", "line 2: self-loop at vertex 1", 2),
+    ("reversed-duplicate", "3 2\n1 2\n2 1", "line 3: duplicate edge 2 1 (first seen at line 2)", 3),
+    ("too-many-edges", "3 1\n1 2\n2 3", "line 3: more than the declared 1 edges", 3),
+    ("too-few-edges", "3 2\n1 2", "declared 2 edges but found 1", None),
+    ("crlf", "3 2\r\n1 2\r\n2 1\r\n", "line 3: duplicate edge 2 1 (first seen at line 2)", 3),
+    ("tabs", "3\t2\n1\t2\n\t1 \t4\n", "line 3: vertex out of range [1, 3] in edge 1 4", 3),
+    ("comment-between-edges", "3 3\n1 2\n  # c\n2 3\n3 3\n", "line 5: self-loop at vertex 3", 5),
+    ("label-beyond-int64", "2 1\n1 99999999999999999999",
+     "line 2: vertex out of range [1, 2] in edge 1 99999999999999999999", 2),
+]
+
+#: Valid files in unusual shapes; ``plain`` marks those the array path reads.
+ODD_VALID = [
+    ("crlf", "3 3\r\n1 2\r\n2 3\r\n3 1\r\n", True),
+    ("tabs-and-blanks", "\t3 \t3\n\n1\t2\n 2 3 \n3\t1", True),
+    ("comments-between-edges", "# head\n3 3\n1 2\n\t# mid\n2 3\n#\n3 1\n# tail", True),
+    ("leading-zeros", "003 2\n01 002\n3 000000000000000002\n", True),
+    ("no-edges", "4 0\n", True),
+    ("long-zero-padded-label", "3 1\n0000000000000000000001 2\n", False),
+    ("plus-sign", "3 1\n+1 2\n", False),
+    ("form-feed-line-break", "3 1\x0c1 2\n", False),
+    ("vertical-tab-in-comment", "# c\x0b3 1\n1 2\n", False),
+    ("lone-carriage-return", "3 1\r1 2\r", False),
+    ("arabic-indic-digit", "3 1\n\u0661 2\n", False),
+    ("no-break-space", "3 1\n1\u00a02\n", False),
+]
+
+
+class TestParseErrors:
+    """Both parsing paths: every error goes to the line scan, which names it
+    and its line; every valid file gives the line scan's graph."""
+
+    @pytest.mark.parametrize("tail", ["", "\n" * 64], ids=["short", "long"])
+    @pytest.mark.parametrize("text,message,line", [case[1:] for case in PARSE_ERRORS],
+                             ids=[case[0] for case in PARSE_ERRORS])
+    def test_message_and_line(self, text, message, line, tail):
+        # trailing blank lines move no error, and make the file long enough
+        # for the array path to try it first
+        text += tail
+        assert _parse_plain(text) is None
+        with pytest.raises(EdgeListError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("text,plain", [case[1:] for case in ODD_VALID],
+                             ids=[case[0] for case in ODD_VALID])
+    def test_odd_valid_files(self, text, plain):
+        expected = _parse_lines(text)
+        assert (_parse_plain(text) is not None) == plain
+        g = parse_edge_list(text)
+        assert (g.n, g.edges) == (expected.n, expected.edges)
+        assert all(type(x) is int for edge in g.edges for x in edge)
+
+    def test_array_path_matches_line_scan(self):
+        rng = np.random.default_rng(24)
+        for _ in range(40):
+            g = random_connected_graph(rng, 2, 40)
+            lines = edge_list_text(g).splitlines()
+            body = [f"{v} {u}" if rng.random() < 0.5 else edge
+                    for edge in lines[1:] for u, v in [edge.split()]]
+            text = "\n".join([lines[0]] + [body[i] for i in rng.permutation(len(body))])
+            plain = _parse_plain(text)
+            assert (plain.n, plain.edges) == (g.n, g.edges)
+            assert (_parse_lines(text).n, _parse_lines(text).edges) == (g.n, g.edges)
+
+    def test_long_files_take_the_array_path(self, monkeypatch):
+        g = random_connected_graph(np.random.default_rng(64), 30, 30)
+        text = edge_list_text(g)
+        assert text.count("\n") >= 64
+
+        def refuse(_):
+            raise AssertionError("line scan")
+
+        monkeypatch.setattr(graphs, "_parse_lines", refuse)
+        parsed = parse_edge_list(text)
+        assert (parsed.n, parsed.edges) == (g.n, g.edges)
+        with pytest.raises(AssertionError, match="line scan"):
+            parse_edge_list(text + "1 1\n")  # a self-loop sends it back to the line scan
+        with pytest.raises(AssertionError, match="line scan"):
+            parse_edge_list(fixture_path("petersen").read_text())  # 15 edges: too short
 
 
 class TestMatrices:
@@ -241,7 +338,8 @@ class TestGraphType:
         {(0, 1.0)},
         {(0, "1")},
         {(np.float64(0.0), 2)},
-    ], ids=["fractional", "integral-float", "string", "numpy-float"])
+        {(True, 2)},
+    ], ids=["fractional", "integral-float", "string", "numpy-float", "bool"])
     def test_rejects_non_integer_labels(self, edges):
         with pytest.raises(ValueError, match="non-integer vertex label"):
             Graph(3, frozenset(edges))

@@ -17,6 +17,7 @@ from gframes import (
     numerical_rank,
     spectral_norm,
 )
+from gframes import walkreg
 from gframes.walkreg import _power_diagonals
 
 from _oracles import (
@@ -321,6 +322,38 @@ class TestExactCensusRoutes:
         with pytest.raises(OverflowError,
                            match="^integer matrix power overflows 64-bit range at power 34$"):
             next(diagonals)
+
+
+class TestFloatCensusRoute:
+    """Below Δ^p_max ≤ 2^53 the census multiplies in float64, which holds
+    every integer up to 2^53 exactly; its diagonals are still int64."""
+
+    @pytest.mark.parametrize("p_max", [26, 27], ids=["float64", "int64"])
+    def test_c80_either_side_of_the_float_bound(self, p_max):
+        # Δ = 4: 4^26 = 2^52 takes the float64 route, 4^27 = 2^54 the int64 one
+        assert 4**26 <= walkreg._FLOAT64_EXACT_MAX < 4**27
+        diagonals = list(_power_diagonals(C80, p_max))
+        assert all(diag.dtype == np.int64 for diag in diagonals)
+        assert [diag.tolist() for diag in diagonals] == c80_diagonals()[:p_max]
+
+    @pytest.mark.parametrize("n,p_max", [(3, 53), (5, 26), (9, 17)], ids=["K3", "K5", "K9"])
+    def test_complete_graphs_at_the_last_float_power(self, n, p_max):
+        # K_n's walk counts are within a factor n of Δ^p, the bound itself:
+        # diag(A^p) = ((n-1)^p + (n-1)(-1)^p) / n
+        g = Graph(n, frozenset(combinations(range(n), 2)))
+        assert (n - 1) ** p_max <= walkreg._FLOAT64_EXACT_MAX < (n - 1) ** (p_max + 1)
+        diagonals = [diag.tolist() for diag in _power_diagonals(g, p_max)]
+        assert diagonals == object_power_diagonals(g.adjacency.astype(np.int64), p_max)
+        d = n - 1
+        assert diagonals[-1] == [(d**p_max + d * (-1) ** p_max) // n] * n
+
+    def test_first_two_powers_need_no_product(self):
+        g = Graph(4, frozenset({(0, 1), (1, 2), (0, 2), (2, 3)}))
+        diagonals = _power_diagonals(g, 200)  # 3^200: the arbitrary-precision route
+        first, second = next(diagonals), next(diagonals)
+        assert first.tolist() == [0, 0, 0, 0] and second.tolist() == [2, 2, 3, 1]
+        assert first.dtype == second.dtype == object
+        assert "adjacency" not in vars(g)  # no matrix was formed, let alone multiplied
 
 
 class TestSpectralNorm:

@@ -7,11 +7,15 @@ import pytest
 
 from gframes import (
     Graph,
+    build_lg_frame,
+    eigh_symmetric,
     is_regular,
     is_walk_regular,
     is_walk_regular_definition,
     laplacian_matrix,
 )
+from gframes import walkreg
+from gframes.walkreg import distinct_nonzero_eigenvalue_count
 
 from _oracles import (
     FIXTURES,
@@ -21,15 +25,38 @@ from _oracles import (
     circulant_graph,
     cubic8,
     edge_list_text,
+    hypercube_graph,
     k3,
+    kneser_graph,
     object_power_diagonals,
+    paley_graph,
     path3,
     petersen,
     regular_census_graphs,
+    rook_graph,
     run_cli,
 )
 
 REGULAR_CENSUS = regular_census_graphs()
+
+#: Regular graphs whose adjacency spectrum the census may read off the
+#: Laplacian's; C60(1..5), C80(1,2) and C200(1..10) leave int64 in the census.
+REGULAR_SPECTRA = {
+    **{name: FIXTURES[name]() for name in sorted(FIXTURES) if is_regular(FIXTURES[name]())},
+    **REGULAR_CENSUS,
+    "Paley(29)": paley_graph(29),
+    "K(5,2)": kneser_graph(5, 2),
+    "K(8,3)": kneser_graph(8, 3),
+    "Rook(4)": rook_graph(4),
+    "Rook(6)": rook_graph(6),
+    "Q4": hypercube_graph(4),
+    "Q6": hypercube_graph(6),
+    "C60(1..5)": circulant_graph(60, range(1, 6)),
+    "C80(1,2)": circulant_graph(80, (1, 2)),
+    "C200(1..10)": circulant_graph(200, range(1, 11)),
+    "C38(1,6)": circulant_graph(38, (1, 6)),
+    "C22(1,10)": circulant_graph(22, (1, 10)),
+}
 
 
 class TestCertifiedPath:
@@ -112,6 +139,62 @@ class TestCensus:
         path.write_text(edge_list_text(g))
         code, out, err = run_cli(["graph-info", path])
         assert code == 2 and out == "" and message in err
+
+
+class TestAdjacencySpectrumFromLaplacian:
+    """On a d-regular graph A = dI − L, so the census reads A's eigenvalues
+    as d − λ from the Laplacian spectrum its caller already holds."""
+
+    @pytest.mark.parametrize("name", sorted(REGULAR_SPECTRA))
+    def test_same_count_as_the_adjacency_eigensolve(self, name):
+        g = REGULAR_SPECTRA[name]
+        degree = is_regular(g)
+        laplacian = eigh_symmetric(laplacian_matrix(g)).eigenvalues
+        expected = distinct_nonzero_eigenvalue_count(eigh_symmetric(g.adjacency).eigenvalues)
+        assert distinct_nonzero_eigenvalue_count(degree - laplacian[::-1]) == expected
+        # the frame bundle holds only the nonzero Laplacian eigenvalues
+        bundle = build_lg_frame(g)
+        padded = np.concatenate([bundle.eigenvalues, np.zeros(bundle.component_count)])
+        assert distinct_nonzero_eigenvalue_count(degree - padded[::-1]) == expected
+
+    @pytest.mark.parametrize("name", [name for name in sorted(REGULAR_SPECTRA)
+                                      if REGULAR_SPECTRA[name].n < 60])
+    def test_no_second_eigensolve(self, monkeypatch, name):
+        g = REGULAR_SPECTRA[name]
+        expected = is_walk_regular(g)
+        laplacian = eigh_symmetric(laplacian_matrix(g)).eigenvalues
+
+        def refuse(_):
+            raise AssertionError("adjacency eigensolve")
+
+        monkeypatch.setattr(walkreg, "eigh_symmetric", refuse)
+        report = is_walk_regular(g, laplacian)
+        assert report.is_walk_regular == expected.is_walk_regular
+        assert report.distinct_nonzero_eigenvalue_count == expected.distinct_nonzero_eigenvalue_count
+        assert report.checked_powers == expected.checked_powers
+        assert report.first_violation == expected.first_violation
+
+    def test_irregular_graphs_solve_the_adjacency(self):
+        g = path3()
+        laplacian = eigh_symmetric(laplacian_matrix(g)).eigenvalues
+        # adjacency eigenvalues ±√2 and 0; the Laplacian's 3, 1, 0 would give three
+        assert is_walk_regular(g, laplacian).distinct_nonzero_eigenvalue_count == 2
+
+
+class TestIrregularAtScale:
+    def test_census_stops_at_the_degrees(self):
+        # n = 300, the README's "a few hundred": Δ^k is far past 2^63, yet
+        # powers 1 and 2 need no product, so nothing overflows or raises
+        rng = np.random.default_rng(300)
+        pairs = combinations(range(300), 2)
+        g = Graph(300, frozenset(edge for edge in pairs if rng.random() < 0.1))
+        degrees = [len(ns) for ns in g.adjacency_lists]
+        report = is_walk_regular(g)
+        assert max(degrees) ** report.distinct_nonzero_eigenvalue_count > 2.0**200
+        assert not report.is_walk_regular
+        assert report.checked_powers == ((1, (0,) * 300), (2, tuple(degrees)))
+        v = next(v for v in range(300) if degrees[v] != degrees[0])
+        assert report.first_violation == (2, (0, v))
 
 
 class TestDefinitionPath:
