@@ -15,7 +15,6 @@ from gframes import (
     laplacian_matrix,
     numerical_rank,
     parse_edge_list,
-    relabel_by_component,
 )
 from gframes.graphs import Graph
 
@@ -43,11 +42,11 @@ print("one zero eigenvalue per component:",
       g.n - spectrum.nonzero_count, "zeros for", len(g.components), "components")
 print("rank(L) = n - p:", numerical_rank(lap, 1e-9), "=", g.n, "-", len(g.components))
 
-# Relabeling puts each component into a contiguous label range; graphs that
-# are already contiguous come back unchanged.
+# The frame build eigensolves the Laplacian in component order, the
+# components concatenated: each component takes a contiguous block, so the
+# permuted Laplacian is block-diagonal however the labels interleave.
 interleaved = Graph(4, frozenset({(0, 2), (1, 3)}))
-relabeled, mapping = relabel_by_component(interleaved)
-print("\ninterleaved components", interleaved.components,
-      "relabel to", relabeled.components, "via mapping", mapping)
-print("relabeled Laplacian is block-diagonal:")
-print(laplacian_matrix(relabeled))
+order = [v for comp in interleaved.components for v in comp]
+print("\ninterleaved components", interleaved.components, "give the component order", order)
+print("Laplacian in component order is block-diagonal:")
+print(laplacian_matrix(interleaved)[np.ix_(order, order)])

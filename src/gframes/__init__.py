@@ -15,7 +15,6 @@ from .graphs import (
     is_regular,
     laplacian_matrix,
     parse_edge_list,
-    relabel_by_component,
 )
 from .linalg import (
     SymmetricSpectrum,
@@ -58,7 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError", "EdgeListError", "EnumerationGuardError",
     "Graph", "degree_sequence", "is_regular", "laplacian_matrix",
-    "parse_edge_list", "relabel_by_component",
+    "parse_edge_list",
     "SymmetricSpectrum", "eigh_symmetric", "numerical_rank", "spectral_norm",
     "WalkRegularityReport", "is_walk_regular", "is_walk_regular_definition",
     "Frame", "GraphFrameBundle", "build_lg_frame", "canonical_dual",

@@ -256,10 +256,10 @@ def _frame_section(bundle, emit_vectors: bool) -> dict:
 def _spark_section(bundle, g) -> dict:
     component_minimum = spark_via_components(g)
     section = {"value": component_minimum, "full_spark": component_minimum == bundle.frame.dim + 1}
-    # columns in component order, as relabel_by_component orders the
-    # vertices: the spark is a size, which no order changes, and in this
-    # order the enumeration does the same work however the components'
-    # labels interleave
+    # columns in component order, the order in which build_lg_frame
+    # eigensolves the Laplacian: the spark is a size, which no order
+    # changes, and in this order the enumeration does the same work however
+    # the components' labels interleave
     order = [v for comp in g.components for v in comp]
     try:
         brute = spark(Frame(np.take(bundle.frame.synthesis, order, axis=1)))
@@ -292,13 +292,19 @@ def _erasure_section(report, search=None) -> dict:
     return section
 
 
+def _numbers_only(node) -> bool:
+    """Whether every leaf of a parsed JSON value is a number (``bool`` and
+    numeric strings excluded)."""
+    if isinstance(node, list):
+        return all(_numbers_only(item) for item in node)
+    return type(node) in (int, float)
+
+
 def _load_shifts(bundle, path: str):
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        shifts = np.asarray(raw, dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"shifts file must hold a matrix of numbers: {exc}") from None
-    return dual_family_member(bundle, shifts)
+    if not _numbers_only(raw):
+        raise ValueError("shifts file must hold a matrix of numbers")
+    return dual_family_member(bundle, raw)
 
 
 def _dr_rows(frame, dual, args) -> list:
@@ -392,30 +398,23 @@ def _render_csv(report: dict) -> str:
         writer.writerow([s["value"], s["full_spark"], s.get("brute_force", ""), s["component_minimum"]])
         return out.getvalue()
     component_of = {}
-    if graph is not None:
-        for index, comp in enumerate(graph["components"]):
-            for v in comp:
-                component_of[v] = index
-    if erasure is not None:
-        writer.writerow(["vertex", "degree", "component", "norm_squared", "product", "in_lambda1"])
-        lam = set(erasure["lambda1_set"])
-        for v in range(1, graph["n"] + 1):
-            writer.writerow([
-                v, graph["degrees"][v - 1], component_of[v],
-                _fmt_float(frame["norms_squared"][v - 1]),
-                _fmt_float(erasure["per_vertex_products"][v - 1]),
-                v in lam,
-            ])
-        return out.getvalue()
+    for index, comp in enumerate(graph["components"]):
+        for v in comp:
+            component_of[v] = index
+    header = ["vertex", "degree", "component"]
     if frame is not None:
-        writer.writerow(["vertex", "degree", "component", "norm_squared"])
-        for v in range(1, graph["n"] + 1):
-            writer.writerow([v, graph["degrees"][v - 1], component_of[v],
-                             _fmt_float(frame["norms_squared"][v - 1])])
-        return out.getvalue()
-    writer.writerow(["vertex", "degree", "component"])
+        header.append("norm_squared")
+    if erasure is not None:
+        header += ["product", "in_lambda1"]
+        lam = set(erasure["lambda1_set"])
+    writer.writerow(header)
     for v in range(1, graph["n"] + 1):
-        writer.writerow([v, graph["degrees"][v - 1], component_of[v]])
+        row = [v, graph["degrees"][v - 1], component_of[v]]
+        if frame is not None:
+            row.append(_fmt_float(frame["norms_squared"][v - 1]))
+        if erasure is not None:
+            row += [_fmt_float(erasure["per_vertex_products"][v - 1]), v in lam]
+        writer.writerow(row)
     return out.getvalue()
 
 

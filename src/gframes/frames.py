@@ -4,9 +4,12 @@ A graph on n vertices with p components yields a frame of n vectors in
 dimension k = n - p: scale the first k Laplacian eigenvector columns by
 the square roots of the nonzero eigenvalues and read the vectors off the
 columns of the resulting k-by-n synthesis matrix, column ``v`` being
-vertex ``v``. The Gramian of that frame reproduces the Laplacian exactly,
-the frame operator is the diagonal of nonzero eigenvalues, and each
-component's vectors sum to zero.
+vertex ``v``. The eigendecomposition is taken of the Laplacian permuted
+into component order, one contiguous block per component, so the basis
+does not change when the components' labels interleave. The Gramian of
+that frame reproduces the Laplacian exactly, the frame operator is the
+diagonal of nonzero eigenvalues, and each component's vectors sum to
+zero.
 
 A dual frame is a plain read-only ``k x n`` matrix whose column ``v`` is
 the dual vector of vertex ``v``. The canonical dual ``S^-1 F`` is formed
@@ -31,7 +34,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .exceptions import ConvergenceError, EnumerationGuardError
-from .graphs import Graph, degree_sequence, laplacian_matrix, relabel_by_component
+from .graphs import Graph, degree_sequence, laplacian_matrix
 from .linalg import eigh_symmetric, numerical_rank
 
 _GRAMIAN_TOL = 1e-8
@@ -146,16 +149,17 @@ def build_lg_frame(g: Graph) -> GraphFrameBundle:
     """Build the frame generated by ``g`` from its Laplacian eigendecomposition.
 
     Every component must contain an edge. The Laplacian is decomposed with
-    the vertices relabeled component-contiguously, so the eigenbasis does
-    not depend on how the components' labels interleave; the columns are
-    then put back in the caller's vertex order. The returned bundle checks
-    its own contract: Gramian equals the Laplacian, squared vector norms
-    equal the degrees, and the frame operator is the diagonal of nonzero
-    Laplacian eigenvalues.
+    its rows and columns permuted into component order (the components
+    concatenated), so the eigenbasis does not depend on how the components'
+    labels interleave; the columns are then put back in the caller's vertex
+    order. The returned bundle checks its own contract: Gramian equals the
+    Laplacian, squared vector norms equal the degrees, and the frame
+    operator is the diagonal of nonzero Laplacian eigenvalues.
     """
     _reject_isolated_vertices(g)
-    relabeled, mapping = relabel_by_component(g)
-    spectrum = eigh_symmetric(laplacian_matrix(relabeled))
+    lap = laplacian_matrix(g)
+    order = [v for comp in g.components for v in comp]
+    spectrum = eigh_symmetric(lap[np.ix_(order, order)])
     p = len(g.components)
     k = g.n - p
     zeros = g.n - spectrum.nonzero_count
@@ -167,9 +171,9 @@ def build_lg_frame(g: Graph) -> GraphFrameBundle:
     synthesis = np.sqrt(eigenvalues)[:, None] * spectrum.eigenvectors[:, :k].T
     # np.take returns a C-ordered array; fancy indexing would return an
     # F-ordered one, whose column reductions round differently.
-    frame = Frame(np.take(synthesis, mapping, axis=1))
+    frame = Frame(np.take(synthesis, np.argsort(order), axis=1))
 
-    gram_err = float(np.abs(frame.gramian - laplacian_matrix(g)).max())
+    gram_err = float(np.abs(frame.gramian - lap).max())
     norm_err = float(np.abs(np.diag(frame.gramian) - degree_sequence(g)).max())
     s = frame.frame_operator
     s_off = float(np.abs(s - np.diag(np.diag(s))).max())
@@ -225,7 +229,7 @@ def _subset_budget(n: int, size_cap: int) -> int:
     return sum(math.comb(n, s) for s in range(1, size_cap + 1))
 
 
-def spark(frame: Frame, rank_tol: float = 1e-8, guard: int = 2_000_000) -> int:
+def spark(frame: Frame, guard: int = 2_000_000) -> int:
     """Size of the smallest linearly dependent column subset, by enumeration.
 
     Returns ``dim + 1`` when every subset of at most ``dim`` columns is
@@ -250,7 +254,7 @@ def spark(frame: Frame, rank_tol: float = 1e-8, guard: int = 2_000_000) -> int:
         step = max(1, _CHUNK_ENTRIES // (k * s))
         while chunk := list(islice(subsets, step)):
             blocks = np.take(frame.synthesis, chunk, axis=1).swapaxes(0, 1)
-            if np.any(numerical_rank(blocks, rank_tol) < s):
+            if np.any(numerical_rank(blocks) < s):
                 return s
     return k + 1
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -75,45 +74,51 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency_lists(self) -> tuple:
-        neighbors = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in neighbors)
+    def _ends(self) -> np.ndarray:
+        """The edges' endpoints as one int array: ``u0, v0, u1, v1, ...``."""
+        return np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * self.m)
 
     @cached_property
     def adjacency(self) -> np.ndarray:
         """Read-only symmetric 0/1 adjacency matrix with zero diagonal; a
         caller that writes takes a copy."""
         a = np.zeros((self.n, self.n))
-        pairs = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * self.m)
-        u, v = pairs[0::2], pairs[1::2]
+        u, v = self._ends[0::2], self._ends[1::2]
         a[u, v] = 1.0
         a[v, u] = 1.0
         a.flags.writeable = False
         return a
 
     @cached_property
+    def _degrees(self) -> tuple:
+        """Each vertex's count among the edge endpoints; no matrix is formed,
+        so the walk census's first two powers need none."""
+        return tuple(np.bincount(self._ends, minlength=self.n).tolist())
+
+    @cached_property
     def components(self) -> tuple:
-        """Connected components as sorted vertex tuples, ordered by smallest member."""
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            queue = deque([start])
-            seen[start] = True
-            members = []
-            while queue:
-                v = queue.popleft()
-                members.append(v)
-                for w in self.adjacency_lists[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-            comps.append(tuple(sorted(members)))
-        return tuple(comps)
+        """Connected components as sorted vertex tuples, ordered by smallest member.
+
+        Union-find over the edges with path halving: each edge links the
+        larger root under the smaller, so every root is its component's
+        smallest member and ``parent[v] <= v`` throughout.
+        """
+        parent = list(range(self.n))
+        for u, v in self.edges:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u < v:
+                parent[v] = u
+            elif v < u:
+                parent[u] = v
+        members = {}
+        for v in range(self.n):
+            # parent[v] <= v, whose parent already points at its root
+            parent[v] = parent[parent[v]]
+            members.setdefault(parent[v], []).append(v)
+        return tuple(map(tuple, members.values()))
 
     @property
     def is_connected(self) -> bool:
@@ -243,7 +248,7 @@ def _parse_lines(text: str) -> Graph:
 
 def degree_sequence(g: Graph) -> list:
     """Number of neighbors of each vertex."""
-    return [len(ns) for ns in g.adjacency_lists]
+    return list(g._degrees)
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
@@ -257,22 +262,3 @@ def is_regular(g: Graph) -> Optional[int]:
     """The common vertex degree, or ``None`` if degrees differ."""
     degrees = degree_sequence(g)
     return degrees[0] if len(set(degrees)) == 1 else None
-
-
-def relabel_by_component(g: Graph) -> tuple:
-    """Relabel vertices so each component occupies a contiguous label range.
-
-    Returns ``(relabeled_graph, mapping)`` where ``mapping[v]`` is the new
-    label of original vertex ``v``. Components are ordered by their smallest
-    original vertex and keep their internal vertex order, so a graph that is
-    already component-contiguous comes back unchanged with the identity
-    mapping.
-    """
-    order = [v for comp in g.components for v in comp]
-    if order == list(range(g.n)):
-        return g, tuple(range(g.n))
-    mapping = [0] * g.n
-    for new, old in enumerate(order):
-        mapping[old] = new
-    edges = frozenset((mapping[u], mapping[v]) for u, v in g.edges)
-    return Graph(g.n, edges), tuple(mapping)

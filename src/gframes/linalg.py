@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -55,12 +55,12 @@ def _require_square(m) -> np.ndarray:
     return a
 
 
-def eigh_symmetric(m, zero_tol: Optional[float] = None) -> SymmetricSpectrum:
+def eigh_symmetric(m) -> SymmetricSpectrum:
     """Eigendecomposition of a real symmetric matrix via LAPACK (``np.linalg.eigh``).
 
     The input must be symmetric up to a 1e-12 entrywise slack (it is
-    symmetrized by averaging before the solve). ``zero_tol`` defaults to
-    ``1e-9 * max(1, max |eigenvalue|)``. Raises :class:`ConvergenceError`
+    symmetrized by averaging before the solve). The spectrum's ``zero_tol``
+    is ``1e-9 * max(1, max |eigenvalue|)``. Raises :class:`ConvergenceError`
     when LAPACK fails or the result misses its accuracy contract.
     """
     a = _require_square(m)
@@ -80,8 +80,6 @@ def eigh_symmetric(m, zero_tol: Optional[float] = None) -> SymmetricSpectrum:
     lead = np.argmax(np.abs(vecs), axis=0)
     vecs[:, vecs[lead, columns] < 0.0] *= -1.0
     lam_scale = max(1.0, float(np.abs(vals).max()) if vals.size else 0.0)
-    if zero_tol is None:
-        zero_tol = 1e-9 * lam_scale
     ortho_err = float(np.abs(vecs.T @ vecs - np.eye(a.shape[0])).max())
     recon_err = float(np.abs((vecs * vals) @ vecs.T - sym).max())
     if ortho_err > 1e-10 or recon_err > 1e-9 * lam_scale:
@@ -89,7 +87,7 @@ def eigh_symmetric(m, zero_tol: Optional[float] = None) -> SymmetricSpectrum:
             f"eigensolve accuracy contract violated "
             f"(orthogonality {ortho_err:.2e}, reconstruction {recon_err:.2e})"
         )
-    return SymmetricSpectrum(vals, vecs, float(zero_tol))
+    return SymmetricSpectrum(vals, vecs, 1e-9 * lam_scale)
 
 
 def spectral_norm(m) -> float:

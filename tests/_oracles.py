@@ -3,15 +3,16 @@ constructions of the bundled edge-list graphs, and every connected graph
 on a few vertices up to isomorphism.
 
 Everything here is deliberately computed by a route different from the
-library under test: determinants by fraction-free elimination, closed
-walks by explicit enumeration or unbounded Python-int matrix products,
-symmetric eigendecompositions by cyclic Jacobi sweeps, ranks and norms by
-numpy's LAPACK bindings (the spark by one SVD per column subset),
-minimum-norm points by Frank-Wolfe, convex minima by trisection, error
-operators and basis changes by explicit k x k matrices (the orthogonal
-Procrustes witness), the generalized Vandermonde determinant by its closed
-form, pseudoinverse diagonals in exact rational arithmetic, and frames
-from hand-entered block-structured eigenbases.
+library under test: components by breadth-first search, determinants
+by fraction-free elimination, closed walks by explicit enumeration or
+unbounded Python-int matrix products, symmetric eigendecompositions by
+cyclic Jacobi sweeps, ranks and norms by numpy's LAPACK bindings (the
+spark by one SVD per column subset), minimum-norm points by Frank-Wolfe,
+convex minima by trisection, error operators and basis changes by
+explicit k x k matrices (the orthogonal Procrustes witness), the
+generalized Vandermonde determinant by its closed form, pseudoinverse
+diagonals in exact rational arithmetic, and frames from hand-entered
+block-structured eigenbases.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -206,13 +208,46 @@ def jacobi_eigh(matrix, max_sweeps: int = 100) -> tuple:
     return vals[order], v[:, order]
 
 
+def neighbour_lists(g: Graph) -> list:
+    """Sorted neighbours of each vertex, read off the edge set."""
+    neighbours = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return [sorted(ns) for ns in neighbours]
+
+
+def components_by_bfs(g: Graph) -> tuple:
+    """Connected components as sorted vertex tuples, ordered by smallest
+    member, by breadth-first search over the neighbour lists."""
+    neighbours = neighbour_lists(g)
+    seen = [False] * g.n
+    comps = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        queue = deque([start])
+        seen[start] = True
+        members = []
+        while queue:
+            v = queue.popleft()
+            members.append(v)
+            for w in neighbours[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        comps.append(tuple(sorted(members)))
+    return tuple(comps)
+
+
 def count_closed_walks(g: Graph, start: int, length: int) -> int:
     """Closed walks of the given length at ``start``, by explicit enumeration."""
+    neighbours = neighbour_lists(g)
 
     def extend(v, remaining):
         if remaining == 0:
             return 1 if v == start else 0
-        return sum(extend(w, remaining - 1) for w in g.adjacency_lists[v])
+        return sum(extend(w, remaining - 1) for w in neighbours[v])
 
     return extend(start, length)
 

@@ -240,14 +240,20 @@ class TestJsonReports:
         report = json.loads(out)
         assert "custom" in report["erasure"]["dr_table"]
 
-    @pytest.mark.parametrize("content", ['{"a": 1}', '[[1, {"b": 2}]]'])
+    @pytest.mark.parametrize("content", [
+        '{"a": 1}', '[[1, {"b": 2}]]',
+        # bools and numeric strings are not numbers, even beside numbers
+        "[[true, false, false, false, false, false, false]]",
+        "[[true, 0.5, 0, 0, 0, 0, 0]]",
+        '[["0.5", 0, 0, 0, 0, 0, 0]]',
+    ])
     def test_dr_table_malformed_shifts_file(self, tmp_path, content):
         shifts = tmp_path / "shifts.json"
         shifts.write_text(content)
         code, out, err = run_cli([
             "dr-table", fixture_path("figure2"), "--max-r", "1", "--shifts-file", shifts,
         ])
-        assert code == 1 and out == "" and "shifts file" in err
+        assert code == 1 and out == "" and "shifts file must hold a matrix of numbers" in err
 
     def test_graph_info_content(self):
         _, out, _ = run_cli(["graph-info", fixture_path("figure2")])

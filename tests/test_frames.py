@@ -16,7 +16,6 @@ from gframes import (
     dual_family_member,
     laplacian_matrix,
     numerical_rank,
-    relabel_by_component,
     spark,
     spark_via_components,
     verify_dual,
@@ -104,9 +103,9 @@ class TestBuild:
         g = Graph(6, frozenset({(0, 4), (0, 5), (1, 2), (2, 3)}))
         b = build_lg_frame(g)
         assert np.abs(b.frame.gramian - laplacian_matrix(g)).max() <= 1e-8
-        relabeled, mapping = relabel_by_component(g)
-        contiguous = build_lg_frame(relabeled)
-        assert np.array_equal(b.frame.synthesis, contiguous.frame.synthesis[:, list(mapping)])
+        # the same paths in component order (0, 4, 5, 1, 2, 3): 1-0-2 and 3-4-5
+        contiguous = build_lg_frame(Graph(6, frozenset({(0, 1), (0, 2), (3, 4), (4, 5)})))
+        assert np.array_equal(b.frame.synthesis[:, [0, 4, 5, 1, 2, 3]], contiguous.frame.synthesis)
 
 
 class TestSpanningCheck:

@@ -1,5 +1,7 @@
 """Graph construction, edge-list parsing, and the standard matrices."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,12 @@ from gframes import (
     laplacian_matrix,
     numerical_rank,
     parse_edge_list,
-    relabel_by_component,
 )
 from gframes import graphs
 from gframes.graphs import _parse_lines, _parse_plain
 
-from _oracles import (FIXTURES, cubic8, edge_list_text, fixture_path, k3, k3_plus_c4, path3,
-                      petersen, random_connected_graph)
+from _oracles import (FIXTURES, components_by_bfs, cubic8, edge_list_text, fixture_path, k3,
+                      k3_plus_c4, neighbour_lists, path3, random_connected_graph)
 
 TRIANGLE_PLUS_SQUARE_LAPLACIAN = np.array([
     [2, -1, -1, 0, 0, 0, 0],
@@ -267,47 +268,30 @@ class TestDegrees:
         assert is_regular(path3()) is None
 
 
-class TestRelabeling:
-    def test_already_contiguous(self):
-        g = k3_plus_c4()
-        relabeled, mapping = relabel_by_component(g)
-        assert relabeled is g
-        assert mapping == tuple(range(7))
-
-    def test_connected_graph_unchanged(self):
-        g = petersen()
-        relabeled, mapping = relabel_by_component(g)
-        assert relabeled is g and mapping == tuple(range(10))
-
-    def test_interleaved_components(self):
-        g = Graph(4, frozenset({(0, 2), (1, 3)}))
-        relabeled, mapping = relabel_by_component(g)
-        assert mapping == (0, 2, 1, 3)
-        assert relabeled.components == ((0, 1), (2, 3))
-        lap = laplacian_matrix(relabeled)
-        assert np.array_equal(lap[:2, 2:], np.zeros((2, 2)))
-
-    def test_block_diagonal_after_relabeling(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(4, 9))
-            edges = set()
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if rng.random() < 0.3:
-                        edges.add((u, v))
-            g = Graph(n, frozenset(edges))
-            relabeled, mapping = relabel_by_component(g)
-            assert sorted(mapping) == list(range(n))
-            lap = laplacian_matrix(relabeled)
-            start = 0
-            for comp in relabeled.components:
-                stop = start + len(comp)
-                assert comp == tuple(range(start, stop))
-                outside = lap[start:stop, :].copy()
-                outside[:, start:stop] = 0.0
-                assert np.array_equal(outside, np.zeros_like(outside))
-                start = stop
+class TestComponents:
+    def test_union_find_matches_bfs_oracle(self):
+        # blocks of random size on randomly permuted labels, so components
+        # interleave; single-vertex blocks and empty densities leave
+        # isolated vertices
+        isolated = interleaved = 0
+        for n in (1, 2, 3, 7, 20, 60, 150, 300):
+            for seed in range(4):
+                rng = np.random.default_rng([n, seed])
+                labels = rng.permutation(n).tolist()
+                edges = set()
+                start = 0
+                while start < n:
+                    block = labels[start:start + int(rng.integers(1, n // 3 + 2))]
+                    pairs = list(combinations(block, 2))
+                    keep = rng.random(len(pairs)) < rng.uniform(0.0, 0.5)
+                    edges.update(pair for pair, kept in zip(pairs, keep) if kept)
+                    start += len(block)
+                g = Graph(n, frozenset(edges))
+                assert g.components == components_by_bfs(g)
+                assert degree_sequence(g) == [len(ns) for ns in neighbour_lists(g)]
+                isolated += any(len(comp) == 1 for comp in g.components)
+                interleaved += any(comp[-1] - comp[0] >= len(comp) for comp in g.components)
+        assert isolated and interleaved
 
 
 class TestGraphType:

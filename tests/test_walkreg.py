@@ -8,6 +8,7 @@ import pytest
 from gframes import (
     Graph,
     build_lg_frame,
+    degree_sequence,
     eigh_symmetric,
     is_regular,
     is_walk_regular,
@@ -188,7 +189,7 @@ class TestIrregularAtScale:
         rng = np.random.default_rng(300)
         pairs = combinations(range(300), 2)
         g = Graph(300, frozenset(edge for edge in pairs if rng.random() < 0.1))
-        degrees = [len(ns) for ns in g.adjacency_lists]
+        degrees = degree_sequence(g)
         report = is_walk_regular(g)
         assert max(degrees) ** report.distinct_nonzero_eigenvalue_count > 2.0**200
         assert not report.is_walk_regular
