@@ -2,14 +2,15 @@
 
 Six commands over an edge-list file: ``graph-info``, ``frame-build``,
 ``frame-spark``, ``od-verdict`` (the verdict from certificates alone; it
-never searches), ``od-search`` (the same report plus a seeded search of
-the dual family), and ``dr-table``, each taking only the options it
-reads; the report's ``config`` echoes them.
+never searches), ``od-search`` (the same report plus a steepest descent
+over the dual family from the canonical dual), and ``dr-table``, each
+taking only the options it reads; the report's ``config`` echoes them.
 Reports are emitted as JSON (the canonical machine format; see
 :data:`REPORT_SCHEMA`), CSV with one row per vertex for per-vertex
 quantities, or plain text. Output is byte-identical for identical input
-and options: floats are serialized with 12 significant digits and every
-enumeration or search is seeded and deterministic.
+and options: floats are serialized with 12 significant digits, the
+search is deterministic, and the sampled lower bounds of ``dr-table``
+are seeded.
 
 Vertex labels in reports are 1-based, matching the edge-list format.
 Exit codes: 0 success, 1 unusable input or options, 2 numerical failure, 3
@@ -50,8 +51,7 @@ COMMANDS = ("graph-info", "frame-build", "frame-spark", "od-verdict", "od-search
 
 #: Options echoed into the report's ``config``, in order, when the command
 #: takes them and they hold a value.
-_ECHOED = ("seed", "trials", "radius", "emit_vectors", "output_format", "max_r",
-           "shifts_file", "mc_samples")
+_ECHOED = ("seed", "emit_vectors", "output_format", "max_r", "shifts_file", "mc_samples")
 
 #: Published schema of the JSON report (draft-07). Sections that do not
 #: apply to a command are omitted entirely, never null.
@@ -361,7 +361,7 @@ def build_report(args: argparse.Namespace) -> dict:
     if args.command in ("od-verdict", "od-search"):
         search = None
         if args.command == "od-search":
-            search = perturbation_search(bundle, args.trials, args.radius, args.seed)
+            search = perturbation_search(bundle)
         report["erasure"] = _erasure_section(canonical_verdict(bundle), search)
         return report
 
@@ -498,7 +498,6 @@ def _checked(convert, ok, rule: str):
 
 
 _AT_LEAST_ONE = _checked(int, lambda value: value >= 1, "at least 1")
-_POSITIVE_FINITE = _checked(float, lambda value: value > 0 and math.isfinite(value), "positive and finite")
 
 
 @functools.cache
@@ -519,7 +518,7 @@ def _build_parser() -> _Parser:
         "frame-build": "build the frame and report its contract quantities",
         "frame-spark": "spark via brute force and the component-minimum formula",
         "od-verdict": "canonical-dual erasure diagnostics and optimality verdict (no search)",
-        "od-search": "od-verdict plus a seeded search of the dual family",
+        "od-search": "od-verdict plus a steepest-descent search of the dual family",
         "dr-table": "worst-case erasure norms D^r for r = 1..R",
     }
     for name in COMMANDS:
@@ -531,14 +530,9 @@ def _build_parser() -> _Parser:
             continue
         cmd.add_argument("--emit-vectors", action="store_true",
                          help="include raw frame vectors (basis-dependent) in the frame section")
-        if name in ("od-search", "dr-table"):
-            cmd.add_argument("--seed", type=int, default=0, help="search/sampling seed (default 0)")
-        if name == "od-search":
-            cmd.add_argument("--trials", type=_AT_LEAST_ONE, default=1000,
-                             help="dual-family search trials (default 1000)")
-            cmd.add_argument("--radius", type=_POSITIVE_FINITE, default=0.01,
-                             help="dual-family sampling radius (default 0.01)")
         if name == "dr-table":
+            cmd.add_argument("--seed", type=int, default=0,
+                             help="seed of the --mc-samples subset draws (default 0)")
             cmd.add_argument("--max-r", type=_AT_LEAST_ONE, default=3,
                              help="largest erasure size R (default 3)")
             cmd.add_argument("--shifts-file", default=None,

@@ -13,7 +13,8 @@ canonical dual is optimal for one erasure when a component that attains
 the maximum has constant products. The verdict is decided by such
 certificates alone and never searches; :func:`perturbation_search`
 separately searches the dual family (one shift vector per component, which
-exhausts all duals of a graph frame) for something strictly better.
+exhausts all duals of a graph frame) for something strictly better, by
+steepest descent from the canonical dual.
 
 Every function here takes a dual as a plain ``k x n`` matrix whose column
 ``i`` is ``h_i``; the canonical dual's is ``GraphFrameBundle.canonical``.
@@ -59,17 +60,13 @@ class ConstancyCertificate:
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Best dual found over the shift family, with the sampling parameters
-    that produced it; ``improved`` means it beats the canonical D^1 by more
-    than 1e-9."""
+    """Best dual found over the shift family; ``improved`` means it beats
+    the canonical D^1 by more than 1e-9."""
 
     shifts: np.ndarray
     d1: float
     canonical_d1: float
     improved: bool
-    trials: int
-    radius: float
-    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,127 +194,26 @@ def _tie_dual(bundle: GraphFrameBundle, lambda1: set, norms: tuple):
     return None
 
 
-def perturbation_search(bundle: GraphFrameBundle, trials: int = 1000,
-                        radius: float = 0.01, seed: int = 0) -> SearchResult:
+def perturbation_search(bundle: GraphFrameBundle) -> SearchResult:
     """Search the dual family for a smaller D^1 than the canonical dual's.
 
-    Seeded and fully deterministic: ``trials`` shift stacks are drawn
-    uniformly from per-component balls of the given radius, the canonical
-    dual itself is always a candidate, and the best point is refined by
-    cyclic coordinate descent followed by steepest descent for the max
-    (moving against the minimum-norm point of the active products'
-    gradients, which handles ties no single coordinate can improve).
-    Every stage works in closed form from per-vertex quadratics instead of
-    rebuilding the dual: a sample's value expands ``w_i²|a_i + s_c|²``
-    with one product per component, so sampling needs O(trials·n) memory;
-    the descent direction is Wolfe's exact minimum-norm point; and both
-    descents step to the exact minimiser of their probe, an upper envelope
-    of parabolas, on a bracket of the given radius (one kernel,
-    :func:`_envelope_minimiser`). The reported ``d1`` is recomputed from
-    the full dual of the returned shifts.
+    Deterministic and free of parameters: steepest descent for the maximum
+    of the per-vertex products, started at the canonical dual (zero
+    shifts), see :func:`_minimax_descent`. D^1 is convex in the shifts, so
+    a point where no direction lowers it is a global minimum. The reported
+    ``d1`` is recomputed from the full dual of the returned shifts.
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    k = bundle.frame.dim
-    m = bundle.component_count
-    comp = bundle.column_component
-    a0 = bundle.canonical
     f_norms = np.linalg.norm(bundle.frame.synthesis, axis=0)
 
     def value(shifts):
-        h = a0 + shifts[comp].T
+        h = bundle.canonical + shifts[bundle.column_component].T
         return float((np.linalg.norm(h, axis=0) * f_norms).max())
 
-    canonical = value(np.zeros((m, k)))
-
-    rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal((trials, m, k))
-    radii = radius * rng.random((trials, m)) ** (1.0 / k)
-    lengths = np.linalg.norm(gauss, axis=2)
-    lengths[lengths == 0.0] = 1.0
-    samples = gauss / lengths[:, :, None] * radii[:, :, None]
-
-    best = np.zeros((m, k))
-    pick = int(np.argmin(_sample_values(bundle, samples)))
-    if value(samples[pick]) < canonical:
-        best = samples[pick].copy()
-
-    best = _coordinate_descent(bundle, best, radius)
-    best = _minimax_descent(bundle, best, radius)
+    canonical = value(np.zeros((bundle.component_count, bundle.frame.dim)))
+    best = _minimax_descent(bundle)
     best_val = value(best)
-
     improved = canonical - best_val > _IMPROVEMENT_TOL
-    return SearchResult(best, best_val, canonical, improved, trials, radius, seed)
-
-
-def _sample_values(bundle: GraphFrameBundle, samples: np.ndarray) -> np.ndarray:
-    """The squared objective ``max_i w_i²|a_i + s_c|²`` of each shift stack
-    ``s`` in ``samples`` (trials × m × k), expanded as ``w_i²(|a_i|² +
-    2a_i·s_c + |s_c|²)``: one trials × n_c product per component, never a
-    trials × k × n dual."""
-    a0 = bundle.canonical
-    w2 = (bundle.frame.synthesis ** 2).sum(axis=0)
-    a_sq = (a0 * a0).sum(axis=0)
-    values = np.zeros(len(samples))
-    for c in range(bundle.component_count):
-        cols = np.flatnonzero(bundle.column_component == c)
-        s = samples[:, c, :]
-        s_sq = (s * s).sum(axis=1)
-        cross = s @ a0[:, cols]
-        top = (w2[cols] * (a_sq[cols] + 2.0 * cross + s_sq[:, None])).max(axis=1)
-        np.maximum(values, top, out=values)
-    return values
-
-
-class _ShiftState:
-    """Shifts ``x`` of the canonical dual together with, per component, the
-    dual's columns ``h``, their squared norms ``sq`` and the largest weighted
-    one ``top`` (``max w_i²|h_i|²`` with ``w_i = |f_i|``), kept current as
-    single coordinates move. The squared objective is ``max(top)``."""
-
-    def __init__(self, bundle: GraphFrameBundle, x):
-        synthesis = bundle.frame.synthesis
-        comp = bundle.column_component
-        columns = [np.flatnonzero(comp == c) for c in range(bundle.component_count)]
-        self.x = np.array(x, dtype=float)
-        self.a0 = [bundle.canonical[:, cols] for cols in columns]
-        self.w2 = [(synthesis[:, cols] ** 2).sum(axis=0) for cols in columns]
-        self.h = [a + s[:, None] for a, s in zip(self.a0, self.x)]
-        self.sq = [(h * h).sum(axis=0) for h in self.h]
-        self.top = [float((w * q).max()) for w, q in zip(self.w2, self.sq)]
-
-    def _outside(self, c: int) -> float:
-        """``out²``: the largest squared value over the components other than ``c``."""
-        return max((top for j, top in enumerate(self.top) if j != c), default=0.0)
-
-    def coordinate_minimiser(self, c: int, d: int, radius: float) -> tuple:
-        """The exact minimiser ``t`` of the squared objective with ``x[c, d]``
-        set to ``t``, on the bracket ``[x − radius, x + radius]`` around
-        ``x = x[c, d]``, and the objective there: ``(t, value)``. Only row
-        ``d`` of component ``c``'s columns changes, so the objective is
-        ``max(out², max_i w_i²(sq_i − h_di² + (a0_di + t)²))``, with ``out²``
-        the largest value over the other components.
-
-        With ``t = x + s`` column ``i`` is the parabola ``w_i²(sq_i +
-        2h_di·s + s²)``, whose upper envelope :func:`_envelope_minimiser`
-        minimises. Where ``out²`` dominates, every point of its plateau
-        minimises the objective; the one returned also minimises the
-        component's own maximum.
-        """
-        w2 = self.w2[c]
-        s, own = _envelope_minimiser(w2 * self.sq[c], 2.0 * w2 * self.h[c][d], w2,
-                                     -radius, radius)
-        return self.x[c, d] + s, max(self._outside(c), own)
-
-    def move(self, c: int, d: int, t: float) -> None:
-        """Set ``x[c, d] = t``, updating only component ``c``'s columns."""
-        self.x[c, d] = t
-        h = self.h[c]
-        h[d] = self.a0[c][d] + t
-        self.sq[c] = (h * h).sum(axis=0)
-        self.top[c] = float((self.w2[c] * self.sq[c]).max())
+    return SearchResult(best, best_val, canonical, improved)
 
 
 def _line_quadratics(h: np.ndarray, w2: np.ndarray, u: np.ndarray) -> tuple:
@@ -380,29 +276,6 @@ def _envelope_minimiser(c0, c1, c2, lo: float, hi: float) -> tuple:
     return float(points[j]), float(values[j])
 
 
-def _coordinate_descent(bundle, x, radius, passes: int = 40):
-    """Cyclic coordinate descent, each shift coordinate moved to the exact
-    minimiser of its probe within ``radius``; a move is kept when it lowers
-    the objective. A component with no vertex at the maximum is skipped:
-    moving it cannot lower the maximum."""
-    state = _ShiftState(bundle, x)
-    m, k = state.x.shape
-    for _ in range(passes):
-        gained = 0.0
-        for c in range(m):
-            for d in range(k):
-                fx2 = max(state.top)
-                if state.top[c] < fx2:
-                    break  # and nothing changes for the rest of c's block
-                t, fy2 = state.coordinate_minimiser(c, d, radius)
-                if fy2 < fx2:
-                    gained += math.sqrt(fx2) - math.sqrt(fy2)
-                    state.move(c, d, t)
-        if gained < 1e-13:
-            break
-    return state.x
-
-
 #: Wolfe's stopping rule: the hull point is optimal once no point lies more
 #: than this fraction of the largest squared point norm below ``|x|²``.
 _HULL_TOL = 1e-14
@@ -463,13 +336,25 @@ def _min_norm_in_hull(points: np.ndarray) -> tuple:
     return full @ points, full
 
 
-def _minimax_descent(bundle, x, radius, iterations: int = 300):
-    """Steepest descent for the max of the per-vertex products: the descent
-    direction is the negated minimum-norm point of the active gradients,
-    and the step moves to the exact minimiser of the closed-form line
-    probe on ``[0, radius]`` (:func:`_envelope_minimiser` on the
-    quadratics of :func:`_line_quadratics`). The descent stops when the
-    direction vanishes or the step no longer lowers the maximum.
+#: The descent's line-step bracket ``[0, _LINE_BRACKET]`` and step cap.
+_LINE_BRACKET = 0.01
+_MAX_STEPS = 300
+#: The active band, relative to ``max(1, top)``, starts at 10^-7 and is
+#: refined tenfold down to 10^-13.
+_BAND_START, _BAND_FLOOR = 7, 13
+
+
+def _minimax_descent(bundle: GraphFrameBundle) -> np.ndarray:
+    """Steepest descent for the max of the per-vertex products, from zero
+    shifts: the descent direction is the negated minimum-norm point of the
+    gradients of the products in the active band below the top, and the
+    step moves to the exact minimiser of the closed-form line probe on
+    ``[0, _LINE_BRACKET]`` (:func:`_envelope_minimiser` on the quadratics
+    of :func:`_line_quadratics`). When the direction vanishes or the step
+    does not lower the maximum, the band narrows tenfold, so the descent
+    does not stop at points that are only stationary within the band; it
+    stops at the band floor or after ``_MAX_STEPS`` steps, each narrowing
+    counted as one.
     """
     k = bundle.frame.dim
     m = bundle.component_count
@@ -477,26 +362,30 @@ def _minimax_descent(bundle, x, radius, iterations: int = 300):
     a0 = bundle.canonical
     f_norms = np.linalg.norm(bundle.frame.synthesis, axis=0)
     w2 = (bundle.frame.synthesis ** 2).sum(axis=0)
-    x = x.copy()
-    for _ in range(iterations):
+    x = np.zeros((m, k))
+    band = _BAND_START
+    for _ in range(_MAX_STEPS):
         h = a0 + x[comp].T
         h_norms = np.linalg.norm(h, axis=0)
         products = h_norms * f_norms
         top = float(products.max())
-        active = np.where(products >= top - 1e-7 * max(1.0, top))[0]
+        active = np.where(products >= top - 10.0 ** -band * max(1.0, top))[0]
         grads = np.zeros((active.size, m * k))
         blocks = comp[active][:, None] * k + np.arange(k)
         grads[np.arange(active.size)[:, None], blocks] = (
             f_norms[active] * h[:, active] / np.maximum(h_norms[active], 1e-300)).T
         direction, _ = _min_norm_in_hull(grads)
         norm = float(np.linalg.norm(direction))
-        if norm <= 1e-12:
+        if norm > 1e-12:
+            unit = (-direction / norm).reshape(m, k)
+            t, value = _envelope_minimiser(*_line_quadratics(h, w2, unit[comp].T),
+                                           0.0, _LINE_BRACKET)
+            if math.sqrt(value) < top - 1e-15:
+                x = x + t * unit
+                continue
+        if band == _BAND_FLOOR:
             break
-        unit = (-direction / norm).reshape(m, k)
-        t, value = _envelope_minimiser(*_line_quadratics(h, w2, unit[comp].T), 0.0, radius)
-        if math.sqrt(value) >= top - 1e-15:
-            break
-        x = x + t * unit
+        band += 1
     return x
 
 

@@ -200,7 +200,10 @@ def dual_family_member(bundle: GraphFrameBundle, shifts) -> np.ndarray:
     vectors sum to zero; the duality identity is still verified and a
     violation raises, since it can only mean an internal bug.
     """
-    shifts = np.asarray(shifts, dtype=float)
+    try:
+        shifts = np.asarray(shifts, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("shift entries must be finite") from None
     expected = (bundle.component_count, bundle.frame.dim)
     if shifts.shape != expected:
         raise ValueError(f"expected shifts of shape {expected}, got {shifts.shape}")

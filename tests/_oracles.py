@@ -8,11 +8,11 @@ by fraction-free elimination, closed walks by explicit enumeration or
 unbounded Python-int matrix products, symmetric eigendecompositions by
 cyclic Jacobi sweeps, ranks and norms by numpy's LAPACK bindings (the
 spark by one SVD per column subset), minimum-norm points by Frank-Wolfe,
-convex minima by trisection, error operators and basis changes by
-explicit k x k matrices (the orthogonal Procrustes witness), the
-generalized Vandermonde determinant by its closed form, pseudoinverse
-diagonals in exact rational arithmetic, and frames from hand-entered
-block-structured eigenbases.
+convex minima by trisection, the dual-family search by random sampling,
+error operators and basis changes by explicit k x k matrices (the
+orthogonal Procrustes witness), the generalized Vandermonde determinant
+by its closed form, pseudoinverse diagonals in exact rational
+arithmetic, and frames from hand-entered block-structured eigenbases.
 """
 
 from __future__ import annotations
@@ -440,6 +440,25 @@ def min_norm_in_hull_frank_wolfe(points, iterations: int = 400) -> tuple:
             break
         x = x - min(1.0, gap / denom) * step
     return x, gap
+
+
+def sampled_shift_d1(bundle, rng, samples: int, radius: float, centre=None) -> np.ndarray:
+    """D^1 of ``samples`` random duals of the bundle's shift family: each
+    component's shift is ``centre``'s row (zero by default) plus a point
+    drawn uniformly from the ball of the given radius, and each dual's D^1
+    is the largest product of its column norms with the frame's, computed
+    from the assembled ``k x n`` dual."""
+    m, k = bundle.component_count, bundle.frame.dim
+    gauss = rng.standard_normal((samples, m, k))
+    lengths = np.maximum(np.linalg.norm(gauss, axis=2, keepdims=True), 1e-300)
+    radii = radius * rng.random((samples, m, 1)) ** (1.0 / k)
+    shifts = gauss / lengths * radii + (0.0 if centre is None else np.asarray(centre))
+    f_norms = np.linalg.norm(bundle.frame.synthesis, axis=0)
+    values = np.empty(samples)
+    for s, x in enumerate(shifts):
+        dual = bundle.canonical + x[bundle.column_component].T
+        values[s] = (np.linalg.norm(dual, axis=0) * f_norms).max()
+    return values
 
 
 def trisect(probe, lo: float, hi: float, steps: int = 60) -> float:

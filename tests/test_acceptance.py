@@ -117,10 +117,7 @@ def test_criterion_3_cubic8_search_beats_canonical():
     d1, _ = d1_fast(bundle.frame, canonical_dual(bundle))
     assert abs(d1 - 0.9978) <= 5e-4
 
-    report = _report([
-        "od-search", fixture_path("figure2"),
-        "--trials", "10000", "--radius", "0.01", "--seed", "0",
-    ])["erasure"]
+    report = _report(["od-search", fixture_path("figure2")])["erasure"]
     assert report["verdict"] == "NOT_OD"
     assert report["search_best"]["improved"] is True
     assert report["search_best"]["d1"] <= 0.9971 + 1e-4
@@ -204,7 +201,7 @@ def test_criterion_7_random_graph_property_suite():
         assert abs(fast - slow) <= 1e-10
 
         constant = canonical_verdict(bundle).constancy.is_constant
-        result = perturbation_search(bundle, trials=1000, radius=0.05, seed=9000 + trial)
+        result = perturbation_search(bundle)
         assert constant == (not result.improved), (
             f"graph {trial}: constant={constant} improved={result.improved}"
         )
@@ -214,7 +211,7 @@ def test_criterion_7_random_graph_property_suite():
     for name in ("k3", "c4", "petersen", "k33"):
         bundle = build_lg_frame(FIXTURES[name]())
         assert canonical_verdict(bundle).constancy.is_constant
-        result = perturbation_search(bundle, trials=1000, radius=0.05, seed=77)
+        result = perturbation_search(bundle)
         assert not result.improved
     elapsed = time.perf_counter() - start
     print(f"[acceptance] criterion 7 ({count} random graphs, {constant_seen} with constant "

@@ -32,11 +32,11 @@ OPTIONS = {
     "frame-build": ("--format", "--emit-vectors"),
     "frame-spark": ("--format", "--emit-vectors"),
     "od-verdict": ("--format", "--emit-vectors"),
-    "od-search": ("--format", "--emit-vectors", "--seed", "--trials", "--radius"),
+    "od-search": ("--format", "--emit-vectors"),
     "dr-table": ("--format", "--emit-vectors", "--seed", "--max-r", "--shifts-file", "--mc-samples"),
 }
 #: A valid value for every option some command takes, and for the removed
-#: tolerance flags; ``None`` marks a switch.
+#: tolerance and search flags; ``None`` marks a switch.
 OPTION_VALUES = {
     "--format": "text", "--emit-vectors": None, "--seed": "5", "--trials": "7",
     "--radius": "0.5", "--max-r": "2", "--shifts-file": "shifts.json", "--mc-samples": "5",
@@ -45,7 +45,7 @@ OPTION_VALUES = {
 #: The ``config`` key each option is echoed under.
 CONFIG_KEYS = {
     "--format": "output_format", "--emit-vectors": "emit_vectors", "--seed": "seed",
-    "--trials": "trials", "--radius": "radius", "--max-r": "max_r",
+    "--max-r": "max_r",
     "--shifts-file": "shifts_file", "--mc-samples": "mc_samples",
 }
 #: Options without a default, echoed only when given.
@@ -121,8 +121,8 @@ class TestExitCodes:
         ("od-search", "--radius"), ("dr-table", "--max-r"), ("dr-table", "--mc-samples"),
     ])
     def test_out_of_range_value_is_rejected(self, command, flag):
-        # od-verdict takes neither --trials nor --radius: it rejects them as
-        # flags it does not take, before any range check
+        # neither od-verdict nor od-search takes --trials or --radius: they
+        # reject them as flags they do not take, before any range check
         code, out, err = run_cli([command, fixture_path("k3"), flag, "0"])
         assert code == 1 and out == "" and flag in err
 
@@ -170,7 +170,7 @@ class TestJsonReports:
         validate(json.loads(out), REPORT_SCHEMA)
 
     def test_od_search_schema_and_family_note(self):
-        code, out, _ = run_cli(["od-search", fixture_path("figure2"), "--trials", "300"])
+        code, out, _ = run_cli(["od-search", fixture_path("figure2")])
         assert code == 0
         report = json.loads(out)
         validate(report, REPORT_SCHEMA)
@@ -255,6 +255,17 @@ class TestJsonReports:
         ])
         assert code == 1 and out == "" and "shifts file must hold a matrix of numbers" in err
 
+    @pytest.mark.parametrize("first", ["1e400", "1" + "0" * 400], ids=["float", "integer"])
+    def test_dr_table_shifts_beyond_float_range(self, tmp_path, first):
+        # JSON reads 1e400 as inf and a 400-digit integer as an int that no
+        # float holds: both are unusable input, not a numerical failure
+        shifts = tmp_path / "shifts.json"
+        shifts.write_text(f"[[{first}, 0, 0, 0, 0], [0, 0, 0, 0, 0]]")
+        code, out, err = run_cli([
+            "dr-table", fixture_path("figure1"), "--max-r", "1", "--shifts-file", shifts,
+        ])
+        assert code == 1 and out == "" and "shift entries must be finite" in err
+
     def test_graph_info_content(self):
         _, out, _ = run_cli(["graph-info", fixture_path("figure2")])
         graph = json.loads(out)["graph"]
@@ -313,10 +324,10 @@ class TestJsonReports:
         assert "null" not in out
 
     def test_config_echoed(self):
-        _, out, _ = run_cli(["od-search", fixture_path("k3"), "--seed", "5", "--trials", "7"])
+        _, out, _ = run_cli(["dr-table", fixture_path("k3"), "--seed", "5", "--max-r", "1"])
         config = json.loads(out)["config"]
         assert config["seed"] == 5
-        assert config["trials"] == 7
+        assert config["max_r"] == 1
         assert "zero_tol" not in config
         assert "tie_tol" not in config and "group_tol" not in config
 
@@ -434,9 +445,8 @@ class TestDeterminism:
         ("dr-table", "c4"),
     ])
     def test_byte_identical_reruns(self, command, name):
-        trials = ["--trials", "200"] if command == "od-search" else []
-        first = run_cli([command, fixture_path(name), *trials])
-        second = run_cli([command, fixture_path(name), *trials])
+        first = run_cli([command, fixture_path(name)])
+        second = run_cli([command, fixture_path(name)])
         assert first == second
         assert first[0] == 0
 
@@ -458,7 +468,7 @@ class TestSharedParser:
         sequence = [
             ["od-search", path, "--no-such-flag"],
             ["--version"],
-            ["od-search", path, "--seed", "3", "--trials", "50"],
+            ["od-search", path, "--emit-vectors"],
             ["od-search", path],
             ["dr-table", path, "--max-r", "2"],
         ]
@@ -472,7 +482,7 @@ class TestSharedParser:
         assert results[1][0] == 0 and results[1][1].startswith("gframes ")
         assert all(code == 0 for code, _ in results[1:])
         config = json.loads(results[3][1])["config"]
-        assert (config["seed"], config["trials"]) == (0, 1000)
+        assert config == {"emit_vectors": False, "output_format": "json"}
         assert results == [run_cli_fresh(argv) for argv in sequence]
 
 

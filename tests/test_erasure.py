@@ -41,6 +41,7 @@ from _oracles import (
     min_norm_in_hull_frank_wolfe,
     random_connected_graph,
     run_cli,
+    sampled_shift_d1,
     trisect,
     unitary_equivalence_witness,
 )
@@ -65,6 +66,10 @@ def cycle(m):
 
 def path(m):
     return Graph(m, frozenset((i, i + 1) for i in range(m - 1)))
+
+
+def relabel(g, perm):
+    return Graph(g.n, frozenset((int(perm[u]), int(perm[v])) for u, v in g.edges))
 
 
 class TestOneCanonicalPath:
@@ -369,7 +374,7 @@ class TestVerdicts:
         assert report.lambda1 == (1, 4, 6, 7)
         file = tmp_path / "cubic8_p3.edges"
         file.write_text(edge_list_text(g))
-        code, out, _ = run_cli(["od-search", file, "--trials", "200", "--seed", "3"])
+        code, out, _ = run_cli(["od-search", file])
         assert code == 0
         erasure_section = json.loads(out)["erasure"]
         assert erasure_section["verdict"] == VERDICT_INCONCLUSIVE
@@ -482,15 +487,13 @@ class TestPerComponentRule:
 class TestPerturbationSearch:
     def test_walk_regular_never_improves(self):
         for name in ("k3", "c4", "petersen"):
-            b = bundle_of(name)
-            for seed in range(3):
-                result = perturbation_search(b, trials=300, radius=0.05, seed=seed)
-                assert not result.improved
-                assert result.d1 >= result.canonical_d1 - 1e-9
+            result = perturbation_search(bundle_of(name))
+            assert not result.improved
+            assert result.d1 >= result.canonical_d1 - 1e-9
 
     def test_cubic8_improves(self):
         b = bundle_of("figure2")
-        result = perturbation_search(b, trials=2000, radius=0.01, seed=0)
+        result = perturbation_search(b)
         assert result.improved
         assert result.canonical_d1 - result.d1 >= 0.0005
         assert result.d1 <= CUBIC8_SHIFTED_D1 + 1e-4
@@ -499,30 +502,55 @@ class TestPerturbationSearch:
         assert value == pytest.approx(result.d1, abs=1e-12)
 
     def test_path3_improves(self):
-        result = perturbation_search(bundle_of("path3"), trials=500, radius=0.05, seed=1)
+        result = perturbation_search(bundle_of("path3"))
         assert result.improved
-
-    def test_vanishing_radius(self):
-        b = bundle_of("figure2")
-        result = perturbation_search(b, trials=50, radius=1e-15, seed=0)
-        assert abs(result.d1 - result.canonical_d1) <= 1e-9
-        assert not result.improved
 
     def test_deterministic(self):
         b = bundle_of("figure2")
-        a = perturbation_search(b, trials=500, radius=0.01, seed=7)
-        c = perturbation_search(b, trials=500, radius=0.01, seed=7)
+        a = perturbation_search(b)
+        c = perturbation_search(b)
         assert a.d1 == c.d1
         assert np.array_equal(a.shifts, c.shifts)
 
-    def test_validation(self):
-        b = bundle_of("k3")
-        with pytest.raises(ValueError):
-            perturbation_search(b, trials=0)
-        with pytest.raises(ValueError):
-            perturbation_search(b, radius=0.0)
-        with pytest.raises(ValueError):
-            perturbation_search(b, radius=float("inf"))
+    def test_no_sample_beats_the_search(self):
+        # D^1 is convex in the shifts, so the descent's end point is a
+        # global minimum: random duals near the canonical dual and near
+        # the end point itself all lie above it
+        rng = np.random.default_rng(20)
+        for i, b in enumerate(probe_bundles()):
+            result = perturbation_search(b)
+            samples = np.concatenate([
+                sampled_shift_d1(b, rng, 200, 0.05),
+                sampled_shift_d1(b, rng, 200, 1e-4, centre=result.shifts),
+            ])
+            assert samples.min() >= result.d1 * (1.0 - 1e-12), i
+
+    def test_same_d1_under_relabelling(self):
+        # the descent starts at the canonical dual and moves by rules that
+        # commute with a vertex relabelling and with the eigenbasis chosen,
+        # so d1 agrees to rounding; a search that sampled in the eigenbasis
+        # spread by up to 4e-8 on some of these graphs
+        rng = np.random.default_rng(1)
+        for i in range(8):
+            for g in (random_connected_graph(rng, 5, 14),
+                      disjoint_union(random_connected_graph(rng, 3, 7),
+                                     random_connected_graph(rng, 3, 7))):
+                labels = np.random.default_rng(i)
+                values = [perturbation_search(build_lg_frame(relabel(g, labels.permutation(g.n)))).d1
+                          for _ in range(4)]
+                assert max(values) - min(values) <= 1e-12 * max(values), (i, g.n)
+
+    def test_traced_peak_of_search_on_40_plus_40(self):
+        rng = np.random.default_rng(2)
+        g = disjoint_union(random_connected_graph(rng, 40, 40), random_connected_graph(rng, 40, 40))
+        b = build_lg_frame(g)
+        tracemalloc.start()
+        try:
+            perturbation_search(b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def probe_bundles():
@@ -538,17 +566,6 @@ def probe_bundles():
     return bundles
 
 
-def coordinate_probe(state, c, d):
-    """The squared objective with ``x[c, d]`` set to ``t``, as a function of
-    ``t``: only row ``d`` of component ``c``'s columns changes, so it is
-    ``max(out², max_i w_i²(sq_i − h_di² + (a0_di + t)²))``, with ``out²``
-    the largest value over the other components."""
-    out2 = state._outside(c)
-    w2, a = state.w2[c], state.a0[c][d]
-    rest = state.sq[c] - state.h[c][d] ** 2
-    return lambda t: max(out2, (w2 * (rest + (a + t) ** 2)).max())
-
-
 def line_probe(h, w2, u):
     """The squared objective along the dual ``h + t·u`` as a function of
     ``t``, in the coefficients of ``erasure._line_quadratics``."""
@@ -557,24 +574,7 @@ def line_probe(h, w2, u):
 
 
 class TestClosedFormProbes:
-    """The descents' closed-form probes equal D^1 of the probed dual."""
-
-    def test_coordinate_probes(self):
-        rng = np.random.default_rng(17)
-        for b in probe_bundles():
-            m, k = b.component_count, b.frame.dim
-            x = 0.05 * rng.standard_normal((m, k))
-            state = erasure._ShiftState(b, x)
-            for _ in range(5):
-                c, d = int(rng.integers(m)), int(rng.integers(k))
-                t = state.x[c, d] + 0.1 * rng.standard_normal()
-                y = state.x.copy()
-                y[c, d] = t
-                expected, _ = d1_fast(b.frame, dual_family_member(b, y))
-                assert np.sqrt(coordinate_probe(state, c, d)(t)) == pytest.approx(expected, rel=1e-12)
-                state.move(c, d, t)
-                assert np.array_equal(state.x, y)
-                assert np.sqrt(max(state.top)) == pytest.approx(expected, rel=1e-12)
+    """The descent's closed-form line probes equal D^1 of the probed dual."""
 
     def test_line_probes(self):
         rng = np.random.default_rng(18)
@@ -656,8 +656,8 @@ class TestMinNormInHull:
 
 
 class TestEnvelopeMinimiser:
-    """The step kernel of both descents, the exact minimiser of an upper
-    envelope of parabolas, against a 60-step trisection of the envelope."""
+    """The descent's step kernel, the exact minimiser of an upper envelope
+    of parabolas, against a 60-step trisection of the envelope."""
 
     @staticmethod
     def parabola_sets():
@@ -719,53 +719,6 @@ class TestEnvelopeMinimiser:
         assert erasure._envelope_minimiser(*cases["constant"]) == (-1.0, 2.0)
 
 
-class TestExactCoordinateStep:
-    """The coordinate step's exact minimiser against a 60-step trisection
-    of the same closed-form probe."""
-
-    def test_no_worse_than_trisection_and_inside_bracket(self):
-        rng = np.random.default_rng(19)
-        for b in probe_bundles():
-            m, k = b.component_count, b.frame.dim
-            state = erasure._ShiftState(b, 0.05 * rng.standard_normal((m, k)))
-            for step in range(6):
-                c, d = int(rng.integers(m)), int(rng.integers(k))
-                radius = (0.01, 0.05, 0.5)[step % 3]
-                lo, hi = state.x[c, d] - radius, state.x[c, d] + radius
-                probe = coordinate_probe(state, c, d)
-                t, value = state.coordinate_minimiser(c, d, radius)
-                assert lo <= t <= hi
-                assert value == pytest.approx(probe(t), rel=1e-12)
-                assert probe(t) <= probe(trisect(probe, lo, hi)) * (1.0 + 1e-12)
-                state.move(c, d, t)
-
-    def test_plateau_where_another_component_dominates(self):
-        rng = np.random.default_rng(21)
-        for b in probe_bundles():
-            if b.component_count < 2:
-                continue
-            k = b.frame.dim
-            x = np.zeros((b.component_count, k))
-            x[1] = rng.standard_normal(k)  # lifts component 1 far above component 0
-            state = erasure._ShiftState(b, x)
-            out2 = state.top[1]
-            for d in range(k):
-                radius = 0.05
-                lo, hi = -radius, radius
-                probe = coordinate_probe(state, 0, d)
-                assert probe(lo) == probe(hi) == out2
-                w2, a = state.w2[0], state.a0[0][d]
-                rest = state.sq[0] - state.h[0][d] ** 2
-
-                def own(t):  # component 0's own maximum, without out²
-                    return float((w2 * (rest + (a + t) ** 2)).max())
-
-                t, value = state.coordinate_minimiser(0, d, radius)
-                assert lo <= t <= hi
-                assert probe(t) == value == out2
-                assert own(t) <= own(trisect(own, lo, hi)) * (1.0 + 1e-12)
-
-
 class TestExactLineStep:
     """The descent's exact line step against a 60-step trisection of the
     same closed-form line probe, along the direction the descent takes."""
@@ -796,42 +749,13 @@ class TestExactLineStep:
                 assert probe(t) <= probe(trisect(probe, 0.0, radius)) * (1.0 + 1e-12)
 
 
-class TestSampleValues:
-    """The sampling stage's expanded values against the sampled duals."""
-
-    def test_closed_form_matches_direct_norms(self):
-        rng = np.random.default_rng(20)
-        for b in probe_bundles():
-            m, k = b.component_count, b.frame.dim
-            samples = 0.05 * rng.standard_normal((200, m, k))
-            closed = erasure._sample_values(b, samples)
-            duals = b.canonical[None, :, :] + samples[:, b.column_component, :].transpose(0, 2, 1)
-            f_norms = np.linalg.norm(b.frame.synthesis, axis=0)
-            direct = (np.linalg.norm(duals, axis=1) * f_norms).max(axis=1)
-            assert np.allclose(np.sqrt(closed), direct, rtol=1e-12, atol=0.0)
-            assert np.argmin(closed) == np.argmin(direct)
-
-    def test_traced_peak_of_search_on_40_plus_40(self):
-        rng = np.random.default_rng(2)
-        g = disjoint_union(random_connected_graph(rng, 40, 40), random_connected_graph(rng, 40, 40))
-        b = build_lg_frame(g)
-        tracemalloc.start()
-        try:
-            perturbation_search(b)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
-
-
 class TestSearchQualityPins:
-    """The search's d1 and ``improved``, pinned at the best the search has
-    given: its values once the coordinate steps and the descent direction
-    became exact, or its earlier values where those were lower
-    (connected0, connected2). Closed-form probes and exact steps change
-    rounding, which may move d1 in its last digits but must not lose
-    quality; a change of descent path (say, a different step rule or
-    direction) shows up here."""
+    """The search's d1 and ``improved``, pinned at the best an earlier
+    three-stage search (seeded sampling, coordinate descent, then steepest
+    descent) gave with the sampling parameters that named these cases
+    (``cubic8-2000`` drew 2,000 samples). The one-stage descent must not
+    lose quality against them; a change of descent path (say, a different
+    step rule or direction) shows up here."""
 
     PINS = {
         "figure2": (0.9837378823083093, True),
@@ -846,20 +770,20 @@ class TestSearchQualityPins:
 
     @staticmethod
     def cases():
-        yield "figure2", bundle_of("figure2"), {}
-        yield "cubic8-2000", build_lg_frame(cubic8()), dict(trials=2000, radius=0.01, seed=0)
+        yield "figure2", bundle_of("figure2")
+        yield "cubic8-2000", build_lg_frame(cubic8())
         rng = np.random.default_rng(1010)
         for i in range(4):
             g = random_connected_graph(rng, 6, 10)
-            yield f"connected{i}", build_lg_frame(g), dict(trials=300, radius=0.05, seed=i)
+            yield f"connected{i}", build_lg_frame(g)
         for i in range(2):
             g = disjoint_union(random_connected_graph(rng, 3, 6), random_connected_graph(rng, 3, 6))
-            yield f"two{i}", build_lg_frame(g), dict(trials=300, radius=0.05, seed=10 + i)
+            yield f"two{i}", build_lg_frame(g)
 
     def test_no_worse_than_pinned(self):
-        for name, b, kwargs in self.cases():
+        for name, b in self.cases():
             pinned_d1, pinned_improved = self.PINS[name]
-            result = perturbation_search(b, **kwargs)
+            result = perturbation_search(b)
             assert result.d1 <= pinned_d1 + 1e-8 * result.canonical_d1, name
             assert result.improved == pinned_improved, name
 
