@@ -40,7 +40,7 @@ spectrum = eigh_symmetric(lap)
 print("\nLaplacian eigenvalues:", np.round(spectrum.eigenvalues, 9))
 print("one zero eigenvalue per component:",
       g.n - spectrum.nonzero_count, "zeros for", len(g.components), "components")
-print("rank(L) = n - p:", numerical_rank(lap, 1e-9), "=", g.n, "-", len(g.components))
+print("rank(L) = n - p:", numerical_rank(lap), "=", g.n, "-", len(g.components))
 
 # The frame build eigensolves the Laplacian in component order, the
 # components concatenated: each component takes a contiguous block, so the

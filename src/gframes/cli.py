@@ -35,8 +35,8 @@ from .exceptions import ConvergenceError, EdgeListError, EnumerationGuardError
 from .graphs import degree_sequence, is_regular, laplacian_matrix, parse_edge_list
 from .linalg import eigh_symmetric
 from .walkreg import is_walk_regular
-from .frames import (Frame, build_lg_frame, canonical_dual, dual_family_member, spark,
-                     spark_via_components)
+from .frames import (Frame, _reject_isolated_vertices, build_lg_frame, canonical_dual,
+                     dual_family_member, spark, spark_via_components)
 from .erasure import (
     DR_GUARD,
     SHIFT_FAMILY_NOTE,
@@ -273,13 +273,16 @@ def _spark_section(bundle, g) -> dict:
 
 
 def _erasure_section(report, search=None) -> dict:
+    basis = dict(report.verdict_basis)
+    if "witness_vertices" in basis:
+        basis["witness_vertices"] = [v + 1 for v in basis["witness_vertices"]]
     section = {
         "d1_canonical": report.d1_canonical,
         "per_vertex_products": [float(v) for v in report.per_vertex_products],
         "lambda1_set": [v + 1 for v in report.lambda1],
         "constancy": {"is_constant": report.constancy.is_constant, "spread": report.constancy.spread},
         "verdict": report.verdict,
-        "verdict_basis": report.verdict_basis,
+        "verdict_basis": basis,
     }
     if search is not None:
         section["search_best"] = {
@@ -301,8 +304,12 @@ def _numbers_only(node) -> bool:
 
 
 def _load_shifts(bundle, path: str):
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not _numbers_only(raw):
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        numbers = _numbers_only(raw)
+    except RecursionError:  # lists nested far deeper than a matrix's two levels
+        numbers = False
+    if not numbers:
         raise ValueError("shifts file must hold a matrix of numbers")
     return dual_family_member(bundle, raw)
 
@@ -319,16 +326,14 @@ def _dr_rows(frame, dual, args) -> list:
             )
     rows = []
     for r in r_values:
-        exact = True
-        if math.comb(n, r) > DR_GUARD:
+        sampled = math.comb(n, r) > DR_GUARD
+        if sampled:
             value, subset = d_r_lower_bound(frame, dual, r, args.mc_samples, args.seed)
-            exact = False
         else:
-            value, subset = d_r(frame, dual, r, guard=DR_GUARD)
+            value, subset = d_r(frame, dual, r)
         row = {"r": r, "value": value, "max_subset": [v + 1 for v in subset]}
-        if not exact:
-            row["lower_bound"] = True
-            row["samples"] = args.mc_samples
+        if sampled:
+            row.update(lower_bound=True, samples=args.mc_samples)
         rows.append(row)
     return rows
 
@@ -350,6 +355,7 @@ def build_report(args: argparse.Namespace) -> dict:
         return report
 
     report["graph"] = _graph_section(g, with_walk=False)
+    _reject_isolated_vertices(g, first_label=1)
     bundle = build_lg_frame(g)
     report["frame"] = _frame_section(bundle, args.emit_vectors)
 
@@ -365,13 +371,12 @@ def build_report(args: argparse.Namespace) -> dict:
         report["erasure"] = _erasure_section(canonical_verdict(bundle), search)
         return report
 
-    # dr-table
-    canonical = canonical_dual(bundle)
-    table = {"canonical": _dr_rows(bundle.frame, canonical, args)}
+    # dr-table; a shifts file is checked before any row is computed
+    duals = {"canonical": canonical_dual(bundle)}
     if args.shifts_file is not None:
-        custom = _load_shifts(bundle, args.shifts_file)
-        table["custom"] = _dr_rows(bundle.frame, custom, args)
-    d1_value, _ = d1_fast(bundle.frame, canonical)
+        duals["custom"] = _load_shifts(bundle, args.shifts_file)
+    table = {label: _dr_rows(bundle.frame, dual, args) for label, dual in duals.items()}
+    d1_value, _ = d1_fast(bundle.frame, duals["canonical"])
     report["erasure"] = {"d1_canonical": d1_value, "dr_table": table}
     return report
 
@@ -498,6 +503,7 @@ def _checked(convert, ok, rule: str):
 
 
 _AT_LEAST_ONE = _checked(int, lambda value: value >= 1, "at least 1")
+_MC_SAMPLES = _checked(int, lambda value: 1 <= value <= DR_GUARD, f"between 1 and {DR_GUARD}")
 
 
 @functools.cache
@@ -537,9 +543,9 @@ def _build_parser() -> _Parser:
                              help="largest erasure size R (default 3)")
             cmd.add_argument("--shifts-file", default=None,
                              help="JSON file with one shift vector per component; adds a 'custom' dual")
-            cmd.add_argument("--mc-samples", type=_AT_LEAST_ONE, default=None,
-                             help="Monte-Carlo sample count for rows whose enumeration exceeds the "
-                                  "guard; values are lower bounds and labeled as such")
+            cmd.add_argument("--mc-samples", type=_MC_SAMPLES, default=None,
+                             help="Monte-Carlo sample count (1 to 10^6) for rows whose enumeration "
+                                  "exceeds the guard; values are lower bounds and labeled as such")
     return parser
 
 

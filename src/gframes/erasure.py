@@ -29,7 +29,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .exceptions import EnumerationGuardError
-from .frames import Frame, GraphFrameBundle, dual_family_member
+from .frames import Frame, GraphFrameBundle, _dual_matrix, d1_fast, dual_family_member
 from .graphs import is_regular
 from .walkreg import is_walk_regular
 
@@ -46,7 +46,7 @@ _IMPROVEMENT_TOL = 1e-9
 
 #: Relative distance from the maximum within which norms count as tied.
 _TIE_TOL = 1e-9
-#: Largest exhaustive subset enumeration :func:`d_r` runs by default.
+#: Largest exhaustive subset enumeration :func:`d_r` runs.
 DR_GUARD = 10**6
 #: Subsets evaluated per batch of stacked r×r Gramian blocks.
 _CHUNK = 4096
@@ -84,21 +84,6 @@ class ErasureReport:
     verdict_basis: dict
 
 
-def _dual_matrix(frame: Frame, dual) -> np.ndarray:
-    h = np.asarray(dual, dtype=float)
-    if h.shape != frame.synthesis.shape:
-        raise ValueError(f"expected dual of shape {frame.synthesis.shape}, got {h.shape}")
-    return h
-
-
-def d1_fast(frame: Frame, dual) -> tuple:
-    """D^1 via the rank-one factorization: the largest ``|f_i| * |h_i|``.
-    Returns ``(value, per-column products)``."""
-    h = _dual_matrix(frame, dual)
-    products = np.linalg.norm(frame.synthesis, axis=0) * np.linalg.norm(h, axis=0)
-    return float(products.max()), products
-
-
 def _worst_subset(frame: Frame, h: np.ndarray, subsets: np.ndarray) -> tuple:
     """The largest error-operator norm over the erased sets in the rows of
     ``subsets``, and the first row within a relative ``_TIE_TOL`` of it.
@@ -123,22 +108,22 @@ def _check_r(frame: Frame, r) -> None:
         raise ValueError(f"need 1 <= r < {frame.count}, got {r!r}")
 
 
-def d_r(frame: Frame, dual, r: int, guard: int = DR_GUARD) -> tuple:
+def d_r(frame: Frame, dual, r: int) -> tuple:
     """Exhaustive D^r: the largest error-operator norm over all r-subsets.
 
     Returns ``(value, subset)``: the maximum, from one r×r eigenproblem on
     Gramian blocks per subset, and the first r-subset of frame columns in
     ``combinations`` order whose norm is within a relative 1e-9 of it, so
-    rounding never picks among tied subsets. Enumeration beyond ``guard``
-    subsets raises :class:`EnumerationGuardError` instead of silently
-    subsampling; see :func:`d_r_lower_bound` for the sampled alternative.
+    rounding never picks among tied subsets. Beyond the fixed guard
+    ``DR_GUARD`` (10^6 subsets) it raises :class:`EnumerationGuardError`
+    rather than subsample; :func:`d_r_lower_bound` is the sampled bound.
     """
     h = _dual_matrix(frame, dual)
     _check_r(frame, r)
     total = math.comb(frame.count, r)
-    if total > guard:
+    if total > DR_GUARD:
         raise EnumerationGuardError(
-            f"D^{r} needs {total} subsets (guard {guard}); use d_r_lower_bound to sample"
+            f"D^{r} needs {total} subsets (guard {DR_GUARD}); use d_r_lower_bound to sample"
         )
     flat = chain.from_iterable(combinations(range(frame.count), r))
     subsets = np.fromiter(flat, dtype=np.intp, count=total * r).reshape(total, r)
@@ -188,9 +173,7 @@ def _tie_dual(bundle: GraphFrameBundle, lambda1: set, norms: tuple):
             continue
         shifts = np.zeros((bundle.component_count, bundle.frame.dim))
         shifts[c, 0] = step
-        candidate = dual_family_member(bundle, shifts)
-        value, _ = d1_fast(bundle.frame, candidate)
-        return c, shifts, value
+        return c, shifts, d1_fast(bundle.frame, dual_family_member(bundle, shifts))[0]
     return None
 
 
@@ -201,19 +184,12 @@ def perturbation_search(bundle: GraphFrameBundle) -> SearchResult:
     of the per-vertex products, started at the canonical dual (zero
     shifts), see :func:`_minimax_descent`. D^1 is convex in the shifts, so
     a point where no direction lowers it is a global minimum. The reported
-    ``d1`` is recomputed from the full dual of the returned shifts.
+    ``d1`` is that of the verified dual of the returned shifts.
     """
-    f_norms = np.linalg.norm(bundle.frame.synthesis, axis=0)
-
-    def value(shifts):
-        h = bundle.canonical + shifts[bundle.column_component].T
-        return float((np.linalg.norm(h, axis=0) * f_norms).max())
-
-    canonical = value(np.zeros((bundle.component_count, bundle.frame.dim)))
+    canonical, _ = d1_fast(bundle.frame, bundle.canonical)
     best = _minimax_descent(bundle)
-    best_val = value(best)
-    improved = canonical - best_val > _IMPROVEMENT_TOL
-    return SearchResult(best, best_val, canonical, improved)
+    best_val, _ = d1_fast(bundle.frame, dual_family_member(bundle, best))
+    return SearchResult(best, best_val, canonical, canonical - best_val > _IMPROVEMENT_TOL)
 
 
 def _line_quadratics(h: np.ndarray, w2: np.ndarray, u: np.ndarray) -> tuple:

@@ -39,7 +39,10 @@ from .linalg import eigh_symmetric, numerical_rank
 
 _GRAMIAN_TOL = 1e-8
 _NORM_TOL = 1e-9
+#: Duality residual allowed per unit of the dual's D^1 (at least one unit).
 _DUALITY_TOL = 1e-8
+#: Largest subset enumeration :func:`spark` runs.
+_SPARK_GUARD = 2_000_000
 #: Float64 entries per batch of stacked column blocks in :func:`spark` (128 KB).
 _CHUNK_ENTRIES = 2**14
 
@@ -136,12 +139,13 @@ class GraphFrameBundle:
         return h
 
 
-def _reject_isolated_vertices(g: Graph):
+def _reject_isolated_vertices(g: Graph, first_label: int = 0):
+    """Name the first isolated vertex, labelling vertex 0 as ``first_label``."""
     for comp in g.components:
         if len(comp) == 1:
             raise ValueError(
-                f"vertex {comp[0]} is isolated; a zero Gramian row leaves no frame vector, "
-                "so graphs with isolated vertices (or no edges at all) are rejected"
+                f"vertex {comp[0] + first_label} is isolated; a zero Gramian row leaves no "
+                "frame vector, so graphs with isolated vertices (or no edges at all) are rejected"
             )
 
 
@@ -188,8 +192,7 @@ def build_lg_frame(g: Graph) -> GraphFrameBundle:
 
 def canonical_dual(bundle: GraphFrameBundle) -> np.ndarray:
     """The canonical dual ``bundle.canonical``, verified: zero shifts."""
-    shifts = np.zeros((bundle.component_count, bundle.frame.dim))
-    return dual_family_member(bundle, shifts)
+    return dual_family_member(bundle, np.zeros((bundle.component_count, bundle.frame.dim)))
 
 
 def dual_family_member(bundle: GraphFrameBundle, shifts) -> np.ndarray:
@@ -197,8 +200,10 @@ def dual_family_member(bundle: GraphFrameBundle, shifts) -> np.ndarray:
     vector of that vertex's component, as a read-only ``k x n`` matrix.
 
     Every member of this family is a dual because each component's frame
-    vectors sum to zero; the duality identity is still verified and a
-    violation raises, since it can only mean an internal bug.
+    vectors sum to zero; the duality identity is still verified, within
+    ``1e-8 * max(1, D^1)`` because its rounding grows with the products, and
+    a violation raises, since it can only mean an internal bug. Shifts that
+    are not finite, or whose products overflow, raise ``ValueError``.
     """
     try:
         shifts = np.asarray(shifts, dtype=float)
@@ -207,32 +212,44 @@ def dual_family_member(bundle: GraphFrameBundle, shifts) -> np.ndarray:
     expected = (bundle.component_count, bundle.frame.dim)
     if shifts.shape != expected:
         raise ValueError(f"expected shifts of shape {expected}, got {shifts.shape}")
-    if not np.all(np.isfinite(shifts)):
-        raise ValueError("shift entries must be finite")
     h = bundle.canonical + shifts[bundle.column_component].T
     h.setflags(write=False)
+    with np.errstate(over="ignore"):
+        scale, _ = d1_fast(bundle.frame, h)
+    if not math.isfinite(scale):  # non-finite shifts give non-finite products
+        raise ValueError("shift entries must be finite, and the products |f_i| * |h_i| "
+                         "must not overflow")
     residual = verify_dual(bundle.frame, h)
-    if residual > _DUALITY_TOL:
+    if residual > _DUALITY_TOL * max(1.0, scale):
         raise RuntimeError(
             f"duality identity violated (residual {residual:.2e}); this is a bug"
         )
     return h
 
 
-def verify_dual(frame: Frame, dual_matrix) -> float:
-    """Max-entry residual of the duality identity: sum of h_i f_i^T minus I."""
-    h = np.asarray(dual_matrix, dtype=float)
+def _dual_matrix(frame: Frame, dual) -> np.ndarray:
+    """``dual`` as a float matrix, which must have the frame's shape."""
+    h = np.asarray(dual, dtype=float)
     if h.shape != frame.synthesis.shape:
         raise ValueError(f"expected dual of shape {frame.synthesis.shape}, got {h.shape}")
-    k = frame.dim
-    return float(np.abs(h @ frame.synthesis.T - np.eye(k)).max())
+    return h
 
 
-def _subset_budget(n: int, size_cap: int) -> int:
-    return sum(math.comb(n, s) for s in range(1, size_cap + 1))
+def verify_dual(frame: Frame, dual_matrix) -> float:
+    """Max-entry residual of the duality identity: sum of h_i f_i^T minus I."""
+    h = _dual_matrix(frame, dual_matrix)
+    return float(np.abs(h @ frame.synthesis.T - np.eye(frame.dim)).max())
 
 
-def spark(frame: Frame, guard: int = 2_000_000) -> int:
+def d1_fast(frame: Frame, dual) -> tuple:
+    """D^1 via the rank-one factorization: the largest ``|f_i| * |h_i|``.
+    Returns ``(value, per-column products)``."""
+    h = _dual_matrix(frame, dual)
+    products = np.linalg.norm(frame.synthesis, axis=0) * np.linalg.norm(h, axis=0)
+    return float(products.max()), products
+
+
+def spark(frame: Frame) -> int:
     """Size of the smallest linearly dependent column subset, by enumeration.
 
     Returns ``dim + 1`` when every subset of at most ``dim`` columns is
@@ -242,14 +259,14 @@ def spark(frame: Frame, guard: int = 2_000_000) -> int:
     of at most 2^14 entries, with the relative singular-value threshold of
     :func:`gframes.linalg.numerical_rank`. Raises
     :class:`EnumerationGuardError` when the subsets of at most ``dim``
-    columns number more than ``guard`` — for graph frames, use
-    :func:`spark_via_components` instead.
+    columns number more than the fixed guard ``_SPARK_GUARD`` (2·10^6) —
+    for graph frames, use :func:`spark_via_components` instead.
     """
     k, n = frame.dim, frame.count
-    budget = _subset_budget(n, k)
-    if budget > guard:
+    budget = sum(math.comb(n, s) for s in range(1, k + 1))
+    if budget > _SPARK_GUARD:
         raise EnumerationGuardError(
-            f"spark enumeration needs {budget} subsets (guard {guard}); "
+            f"spark enumeration needs {budget} subsets (guard {_SPARK_GUARD}); "
             "for a graph frame, spark_via_components gives the answer directly"
         )
     for s in range(1, k + 1):

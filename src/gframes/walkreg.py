@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .graphs import Graph, degree_sequence, is_regular
-from .linalg import eigh_symmetric
+from .linalg import eigh_symmetric, zero_threshold
 
 _INT64_MAX = 2**63 - 1
 #: Every integer up to 2^53 is a float64.
@@ -48,14 +48,13 @@ class WalkRegularityReport:
 def distinct_nonzero_eigenvalue_count(eigenvalues) -> int:
     """Count distinct nonzero values among ``eigenvalues`` (non-increasing),
     grouping multiplicities within 1e-8 times the largest magnitude. A value
-    is zero when its magnitude is at most ``1e-9 * max(1, largest
-    magnitude)``, the default ``zero_tol`` of :func:`eigh_symmetric`."""
+    is zero when its magnitude is at most the spectrum's
+    :func:`~gframes.linalg.zero_threshold`, as in :func:`eigh_symmetric`."""
     vals = np.asarray(eigenvalues, dtype=float)
     scale = float(np.abs(vals).max()) if vals.size else 0.0
     if scale == 0.0:
         return 0
-    gap = 1e-8 * scale
-    zero_tol = 1e-9 * max(1.0, scale)
+    gap, zero_tol = 1e-8 * scale, zero_threshold(scale)
     reps = [float(vals[0])]
     for v in vals[1:]:
         if reps[-1] - float(v) > gap:

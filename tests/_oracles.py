@@ -364,6 +364,45 @@ def exact_pinv_diagonal(g: Graph) -> list:
     return [rows[i][n + i] - Fraction(1, n) for i in range(n)]
 
 
+def random_tree(rng, n: int) -> Graph:
+    """Random recursive tree over a seeded vertex order: each vertex joins a
+    uniformly drawn earlier one."""
+    order = rng.permutation(n)
+    edges = set()
+    for i in range(1, n):
+        a, b = int(order[i]), int(order[int(rng.integers(0, i))])
+        edges.add((min(a, b), max(a, b)))
+    return Graph(n, frozenset(edges))
+
+
+def tree_squared_products(g: Graph) -> list:
+    """``n²·d_i·P_ii`` of a tree as exact integers, ``d_i·(n·D_i − W)``.
+
+    In a tree the effective resistance is the distance, so ``P_ii = D_i/n −
+    W/n²``, with ``D_i`` vertex i's distance sum and ``W`` the Wiener index.
+    The distance sums come from one BFS and rerooting: moving the root from
+    a vertex to its child c changes the sum by ``n − 2·size(c)``."""
+    n = g.n
+    neighbours = neighbour_lists(g)
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for w in neighbours[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    depth, size = [0] * n, [1] * n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    sums = [sum(depth)] * n
+    for v in order[1:]:
+        sums[v] = sums[parent[v]] + n - 2 * size[v]
+    wiener = sum(sums) // 2
+    return [len(neighbours[i]) * (n * sums[i] - wiener) for i in range(n)]
+
+
 def spark_by_subsets(frame: Frame, rank_tol: float = 1e-8) -> int:
     """Spark by one SVD per column subset, smallest size first, with the
     rank rule ``sigma > rank_tol * max(1, sigma_1)``; ``dim + 1`` when

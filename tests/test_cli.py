@@ -5,14 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from jsonschema import validate
 
-from gframes import Graph, is_regular
+from gframes import Graph, build_lg_frame, is_regular, parse_edge_list
 from gframes.cli import COMMANDS, REPORT_SCHEMA, _build_parser, render_json
+from gframes.erasure import DR_GUARD
 
 from _oracles import (
     FIXTURES,
@@ -74,6 +76,43 @@ class TestExitCodes:
         assert code == 1 and "isolated" in err
         # graph-info has no frame, so it still works
         code, _, _ = run_cli(["graph-info", lonely])
+        assert code == 0
+
+    @pytest.mark.parametrize("text,label", [("3 1\n1 2\n", 3), ("1 0\n", 1)])
+    def test_isolated_vertex_named_by_its_file_label(self, tmp_path, text, label):
+        # the CLI names the edge list's 1-based label, the API the 0-based vertex
+        lonely = tmp_path / "lonely.edges"
+        lonely.write_text(text)
+        code, out, err = run_cli(["frame-build", lonely])
+        assert code == 1 and out == "" and f"vertex {label} is isolated" in err
+        with pytest.raises(ValueError, match=f"vertex {label - 1} is isolated"):
+            build_lg_frame(parse_edge_list(text))
+
+    @pytest.mark.parametrize("depth", [900, 5000])
+    def test_deeply_nested_shifts_file(self, tmp_path, depth):
+        # nesting deeper than the recursion limit is unusable input, not a
+        # numerical failure (RecursionError is a RuntimeError)
+        shifts = tmp_path / "shifts.json"
+        shifts.write_text("[" * depth + "]" * depth)
+        code, out, err = run_cli([
+            "dr-table", fixture_path("figure1"), "--max-r", "1", "--shifts-file", shifts,
+        ])
+        assert code == 1 and out == "" and "shifts file must hold a matrix of numbers" in err
+
+    def test_vertex_count_beyond_2_31(self, tmp_path):
+        huge = tmp_path / "huge.edges"
+        huge.write_text("99999999999999999999 0\n")
+        for command in ("graph-info", "frame-build"):
+            code, out, err = run_cli([command, huge])
+            assert code == 1 and out == ""
+            assert "line 1: vertex count must be at most 2^31" in err
+
+    def test_mc_samples_bounded_by_the_guard(self):
+        # refused while parsing: the input is never read and no draw is made
+        code, out, err = run_cli(["dr-table", "no/such/file.edges", "--mc-samples", "1000000000000"])
+        assert code == 1 and out == "" and "--mc-samples" in err and "no/such/file" not in err
+        code, _, _ = run_cli(["dr-table", fixture_path("k3"), "--max-r", "1",
+                              "--mc-samples", str(DR_GUARD)])
         assert code == 0
 
     def test_guard_exceeded(self, tmp_path):
@@ -266,6 +305,26 @@ class TestJsonReports:
         ])
         assert code == 1 and out == "" and "shift entries must be finite" in err
 
+    def test_dr_table_large_shift_is_a_dual(self, tmp_path):
+        # the rounding of sum h_i f_i^T grows with |h_i|·|f_i|, so the duality
+        # check scales with the dual's D^1: a shift of 1e8 is a valid dual
+        shifts = tmp_path / "shifts.json"
+        shifts.write_text("[[1e8, 0, 0, 0, 0], [0, 0, 0, 0, 0]]")
+        code, out, err = run_cli(["dr-table", fixture_path("figure1"), "--shifts-file", shifts])
+        assert code == 0, err
+        rows = json.loads(out)["erasure"]["dr_table"]["custom"]
+        assert [row["r"] for row in rows] == [1, 2, 3]
+        assert all(math.isfinite(row["value"]) and row["value"] > 1e7 for row in rows)
+
+    def test_dr_table_overflowing_shift(self, tmp_path):
+        shifts = tmp_path / "shifts.json"
+        shifts.write_text("[[1e308, 0, 0, 0, 0], [0, 0, 0, 0, 0]]")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["dr-table", fixture_path("figure1"), "--shifts-file", shifts])
+        assert code == 1 and out == "" and "products |f_i| * |h_i| must not overflow" in err
+        assert caught == []
+
     def test_graph_info_content(self):
         _, out, _ = run_cli(["graph-info", fixture_path("figure2")])
         graph = json.loads(out)["graph"]
@@ -300,6 +359,13 @@ class TestJsonReports:
         assert erasure["verdict"] == "INCONCLUSIVE"
         assert erasure["verdict_basis"] == {"certificate": "none"}
         assert erasure["search_best"]["improved"] is True
+
+    def test_witness_vertices_are_file_labels(self):
+        # the NOT_OD witness is the argmax set, in the report's 1-based labels
+        _, out, _ = run_cli(["od-verdict", fixture_path("figure2")])
+        erasure = json.loads(out)["erasure"]
+        assert erasure["verdict"] == "NOT_OD"
+        assert erasure["verdict_basis"]["witness_vertices"] == erasure["lambda1_set"] == [2, 5, 7, 8]
 
     def test_od_verdict_content(self):
         _, out, _ = run_cli(["od-verdict", fixture_path("figure1")])

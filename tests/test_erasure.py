@@ -3,7 +3,8 @@
 import json
 import math
 import tracemalloc
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, count
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gframes import (
     d1_fast,
     d_r,
     d_r_lower_bound,
+    degree_sequence,
     dual_family_member,
     is_regular,
     is_walk_regular,
@@ -38,10 +40,13 @@ from _oracles import (
     cubic8,
     edge_list_text,
     error_operator,
+    exact_pinv_diagonal,
     min_norm_in_hull_frank_wolfe,
     random_connected_graph,
+    random_tree,
     run_cli,
     sampled_shift_d1,
+    tree_squared_products,
     trisect,
     unitary_equivalence_witness,
 )
@@ -229,10 +234,11 @@ class TestDR:
         for values in sequences.values():
             assert values[0] <= values[1] + 1e-12
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(erasure, "DR_GUARD", 100)
         b = bundle_of("petersen")
         with pytest.raises(EnumerationGuardError):
-            d_r(b.frame, canonical_dual(b), 5, guard=100)
+            d_r(b.frame, canonical_dual(b), 5)
 
     def test_rejects_full_erasure(self):
         b = bundle_of("k3")
@@ -484,7 +490,64 @@ class TestPerComponentRule:
         assert report.lambda1 == (9, 12)  # od-search improves on it (test_cli)
 
 
+class TestExactTreeOracles:
+    """Seeded random trees on 300 vertices, where ``n²·d_i·P_ii = d_i·(n·D_i −
+    W)`` (:func:`tree_squared_products`) orders the products as integers."""
+
+    N = 300
+
+    def test_oracle_matches_exact_pseudoinverse(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            g = random_tree(rng, 9)
+            exact = [g.n ** 2 * d * p for d, p in zip(degree_sequence(g), exact_pinv_diagonal(g))]
+            assert tree_squared_products(g) == exact
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_argmax_and_verdict(self, seed):
+        g = random_tree(np.random.default_rng(seed), self.N)
+        squared = tree_squared_products(g)
+        report = canonical_verdict(build_lg_frame(g))
+        assert report.lambda1 == tuple(i for i, s in enumerate(squared) if s == max(squared))
+        assert report.verdict == VERDICT_NOT_OD
+        assert np.allclose(self.N ** 2 * report.per_vertex_products ** 2, squared, rtol=1e-9, atol=0)
+
+    def test_larger_cycle_attains_the_maximum(self):
+        # C_m has the constant squared product (m² − 1)/(6m); take the first m
+        # whose value clears the tree's maximum
+        tree = random_tree(np.random.default_rng(1), self.N)
+        top = Fraction(max(tree_squared_products(tree)), self.N ** 2)
+        m = next(m for m in count(3) if Fraction(m * m - 1, 6 * m) > top)
+        report = canonical_verdict(build_lg_frame(disjoint_union(tree, cycle(m))))
+        assert report.verdict == VERDICT_OD_SINGLE
+        assert report.lambda1 == tuple(range(self.N, self.N + m))
+
+    def test_two_copies_share_the_argmax(self):
+        tree = random_tree(np.random.default_rng(2), self.N)
+        squared = tree_squared_products(tree)
+        argmax = [i for i, s in enumerate(squared) if s == max(squared)]
+        report = canonical_verdict(build_lg_frame(disjoint_union(tree, tree)))
+        assert report.lambda1 == tuple(argmax + [i + self.N for i in argmax])
+
+
 class TestPerturbationSearch:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_reports_the_verified_dual(self, monkeypatch, name):
+        # d1 is the D^1 of dual_family_member(shifts), which checks duality
+        b = bundle_of(name)
+        members = []
+
+        def recorded(bundle, shifts):
+            members.append(dual_family_member(bundle, shifts))
+            return members[-1]
+
+        monkeypatch.setattr(erasure, "dual_family_member", recorded)
+        result = perturbation_search(b)
+        assert len(members) == 1
+        assert result.d1 == d1_fast(b.frame, members[0])[0]
+        assert np.array_equal(members[0], b.canonical + result.shifts[b.column_component].T)
+        assert result.canonical_d1 == canonical_verdict(b).d1_canonical
+
     def test_walk_regular_never_improves(self):
         for name in ("k3", "c4", "petersen"):
             result = perturbation_search(bundle_of(name))

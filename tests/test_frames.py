@@ -1,6 +1,7 @@
 """Frame construction, dual family, unitary equivalence, and spark."""
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from gframes import (
     Graph,
     build_lg_frame,
     canonical_dual,
+    d1_fast,
     degree_sequence,
     dual_family_member,
     laplacian_matrix,
@@ -21,6 +23,7 @@ from gframes import (
     verify_dual,
 )
 
+from gframes import frames
 from gframes.frames import _CHUNK_ENTRIES
 
 from _oracles import (
@@ -239,6 +242,26 @@ class TestDualFamily:
         assert np.array_equal(canonical_dual(b), b.canonical)
         assert np.array_equal(member[:, :3], b.canonical[:, :3] + 1.0)
 
+    def test_tolerance_scales_with_d1(self):
+        # the rounding of sum h_i f_i^T grows with |h_i|·|f_i|, so large
+        # shifts are duals within 1e-8 of their own D^1, not of 1
+        b = bundle_of("figure1")
+        for size in (1e4, 1e8, 1e12):
+            shifts = np.zeros((2, 5))
+            shifts[0, 0] = size
+            member = dual_family_member(b, shifts)
+            assert verify_dual(b.frame, member) <= 1e-8 * d1_fast(b.frame, member)[0]
+
+    @pytest.mark.parametrize("size", [1e200, 1e308])
+    def test_overflowing_products_rejected(self, size):
+        b = bundle_of("figure1")
+        shifts = np.zeros((2, 5))
+        shifts[0, 0] = size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"products \|f_i\| \* \|h_i\| must not overflow"):
+                dual_family_member(b, shifts)
+
     def test_duality_violation_raises(self):
         b = bundle_of("figure2")
         b.__dict__["canonical"] = 2.0 * b.frame.synthesis
@@ -328,19 +351,23 @@ class TestSpark:
     def test_connected_fixtures_full_spark(self, name):
         assert is_full_spark(bundle_of(name).frame)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        # 20 + 190 + 1140 = 1350 subsets: within the fixed guard, beyond 1000
+        monkeypatch.setattr(frames, "_SPARK_GUARD", 1000)
         rng = np.random.default_rng(0)
-        frame = Frame(rng.standard_normal((15, 40)))
-        with pytest.raises(EnumerationGuardError):
-            spark(frame, guard=1000)
+        frame = Frame(rng.standard_normal((3, 20)))
+        with pytest.raises(EnumerationGuardError, match="needs 1350 subsets"):
+            spark(frame)
 
-    def test_guard_counts_only_enumerated_sizes(self):
+    def test_guard_counts_only_enumerated_sizes(self, monkeypatch):
         # sizes 1..3 hold 12 + 66 + 220 = 298 subsets; size 4 is never enumerated
         frame = Frame(np.random.default_rng(0).standard_normal((3, 12)))
-        assert spark(frame, guard=500) == 4
-        assert spark(frame, guard=298) == 4
+        for guard in (500, 298):
+            monkeypatch.setattr(frames, "_SPARK_GUARD", guard)
+            assert spark(frame) == 4
+        monkeypatch.setattr(frames, "_SPARK_GUARD", 297)
         with pytest.raises(EnumerationGuardError, match="needs 298 subsets"):
-            spark(frame, guard=297)
+            spark(frame)
 
     @pytest.mark.parametrize("name", ALL_FIXTURES + ["interleaved"])
     def test_matches_subset_oracle(self, name):
@@ -403,7 +430,7 @@ class TestSpark:
             components = [set(comp) for comp in g.components]
             for size in range(1, g.n + 1):
                 subsets = list(combinations(range(g.n), size))
-                ranks = numerical_rank(np.take(synthesis, subsets, axis=1).swapaxes(0, 1), 1e-8)
+                ranks = numerical_rank(np.take(synthesis, subsets, axis=1).swapaxes(0, 1))
                 for subset, rank in zip(subsets, ranks):
                     whole = any(comp <= set(subset) for comp in components)
                     assert (rank < size) == whole, (sorted(g.edges), subset)

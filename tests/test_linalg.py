@@ -100,7 +100,7 @@ class TestEigh:
 
     def test_sign_convention(self):
         spectrum = eigh_symmetric(laplacian_matrix(petersen()))
-        for j in range(spectrum.n):
+        for j in range(len(spectrum.eigenvalues)):
             col = spectrum.eigenvectors[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
@@ -381,13 +381,13 @@ class TestSpectralNorm:
 class TestNumericalRank:
     def test_two_component_laplacian(self):
         lap = laplacian_matrix(k3_plus_c4())
-        assert numerical_rank(lap, 1e-9) == 5
+        assert numerical_rank(lap) == 5
 
     def test_k3(self):
-        assert numerical_rank(laplacian_matrix(k3()), 1e-9) == 2
+        assert numerical_rank(laplacian_matrix(k3())) == 2
 
     def test_zero(self):
-        assert numerical_rank(np.zeros((3, 3)), 1e-9) == 0
+        assert numerical_rank(np.zeros((3, 3))) == 0
 
     def test_single_matrix_gives_int(self):
         assert type(numerical_rank(np.eye(3))) is int
