@@ -4,12 +4,19 @@ Losing one frame coefficient costs at worst the product |f_i| |h_i|, so a
 dual's single-erasure figure of merit D^1 is the largest such product.
 The canonical dual minimizes D^1 among all duals exactly when its
 products are constant across vertices; for connected graphs this is
-an equivalence, so the verdict is all-or-nothing. Three stories:
+an equivalence, so the verdict is all-or-nothing. Four stories:
 
 * the triangle is walk-regular: constant products, uniquely optimal;
 * the triangle-plus-4-cycle attains its maximum on a component with
   constant products, the 4-cycle: optimal, since each component minimises
-  its own maximum, but provably not uniquely (a shifted dual ties);
+  its own maximum, but provably not uniquely. The witness shift of the
+  per-component argument puts every product of the triangle strictly
+  below the maximum, and that tie dual's D^1 equals the canonical one;
+* near_tie is a 9-vertex graph plus the walk-regular circulant C38(1,6),
+  whose constant product lies 4.38e-10 relative below the 9-vertex graph's
+  maximum, close enough for the 1e-9 tie rule to count the circulant as
+  attaining it. The same witness shift lowers the 9-vertex graph's
+  maximum, so the tie dual beats the canonical D^1: not optimal;
 * the cubic 8-vertex graph is regular but not walk-regular: not optimal,
   and a steepest descent over the dual family, started at the canonical
   dual, finds strictly better duals.
@@ -40,13 +47,17 @@ def load(name):
 
 np.set_printoptions(precision=4, suppress=True)
 
-for name in ("k3", "figure1", "figure2"):
+for name in ("k3", "figure1", "near_tie", "figure2"):
     bundle = build_lg_frame(load(name))
     report = canonical_verdict(bundle)
     print(f"{name}:")
-    print(f"  products {np.round(report.per_vertex_products, 6)}")
-    print(f"  D^1 = {report.d1_canonical:.9f}, argmax vertices {report.lambda1}")
+    if bundle.graph.n <= 8:
+        print(f"  products {np.round(report.per_vertex_products, 6)}")
+    print(f"  D^1 = {report.d1_canonical:.12f}, {len(report.lambda1)} argmax vertices")
     print(f"  verdict: {report.verdict}  [{report.verdict_basis['certificate']}]")
+    if "tie_d1" in report.verdict_basis:
+        print(f"  tie dual shifts components {report.verdict_basis['tie_components']}:"
+              f" D^1 = {report.verdict_basis['tie_d1']:.12f}")
 
 # The error operator behind those numbers: erase one coefficient and the
 # reconstruction misses by the rank-one operator h_i f_i^T, whose norm is

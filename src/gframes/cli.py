@@ -13,8 +13,8 @@ search is deterministic, and the sampled lower bounds of ``dr-table``
 are seeded.
 
 Vertex labels in reports are 1-based, matching the edge-list format.
-Exit codes: 0 success, 1 unusable input or options, 2 numerical failure, 3
-enumeration guard exceeded.
+Exit codes: 0 success, 1 unusable input or options, 2 numerical failure or
+an allocation beyond the available memory, 3 enumeration guard exceeded.
 """
 
 from __future__ import annotations
@@ -562,6 +562,9 @@ def main(argv=None) -> int:
     except (ConvergenceError, np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         # ahead of ValueError, which LinAlgError subclasses
         print(f"gframes: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the array's size, shape and type
+        print(f"gframes: out of memory: {exc}", file=sys.stderr)
         return 2
     except (EdgeListError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"gframes: error: {exc}", file=sys.stderr)

@@ -107,6 +107,22 @@ class TestExitCodes:
             assert code == 1 and out == ""
             assert "line 1: vertex count must be at most 2^31" in err
 
+    def test_allocation_beyond_memory_exits_2(self, tmp_path, monkeypatch):
+        # "100000 0" asks Graph.adjacency for 74.5 GiB; the allocation is
+        # made to fail with numpy's message here, never attempted
+        message = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+                   "and data type float64")
+
+        def refuse(graph):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(Graph, "adjacency", property(refuse))
+        huge = tmp_path / "huge.edges"
+        huge.write_text("100000 0\n")
+        code, out, err = run_cli(["graph-info", huge])
+        assert code == 2 and out == ""
+        assert err == f"gframes: out of memory: {message}\n"
+
     def test_mc_samples_bounded_by_the_guard(self):
         # refused while parsing: the input is never read and no draw is made
         code, out, err = run_cli(["dr-table", "no/such/file.edges", "--mc-samples", "1000000000000"])

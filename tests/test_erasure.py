@@ -26,6 +26,7 @@ from gframes import (
     dual_family_member,
     is_regular,
     is_walk_regular,
+    parse_edge_list,
     perturbation_search,
 )
 
@@ -41,7 +42,9 @@ from _oracles import (
     edge_list_text,
     error_operator,
     exact_pinv_diagonal,
+    fixture_path,
     min_norm_in_hull_frank_wolfe,
+    near_tie,
     random_connected_graph,
     random_tree,
     run_cli,
@@ -318,17 +321,20 @@ class TestProductsComputedOnce:
         ("figure2", "independent_argmax_with_global_dependence"),
     ])
     def test_verdict_takes_column_norms_once(self, monkeypatch, name, certificate):
+        # the products come from one d1_fast on the canonical dual; figure1's
+        # tie dual takes its own D^1 from a second call
         calls = []
-        original = erasure._canonical_norms
+        original = erasure.d1_fast
 
-        def counted(bundle):
-            calls.append(bundle)
-            return original(bundle)
+        def counted(frame, dual):
+            calls.append(dual)
+            return original(frame, dual)
 
-        monkeypatch.setattr(erasure, "_canonical_norms", counted)
-        report = canonical_verdict(bundle_of(name))
+        monkeypatch.setattr(erasure, "d1_fast", counted)
+        b = bundle_of(name)
+        report = canonical_verdict(b)
         assert report.verdict_basis["certificate"] == certificate
-        assert len(calls) == 1
+        assert sum(dual is b.canonical for dual in calls) == 1
 
 
 class TestVerdicts:
@@ -474,7 +480,7 @@ class TestPerComponentRule:
         assert basis["component"] == 0
         assert basis["spread"] <= 1e-12
         assert basis["uniqueness"] == "not_unique"
-        assert basis["tie_component"] == 1
+        assert basis["tie_components"] == [1]
         assert basis["tie_d1"] == pytest.approx(report.d1_canonical, abs=1e-12)
         assert report.lambda1 == tuple(range(8))
         assert census_calls == []  # irregular, so no census anywhere
@@ -488,6 +494,91 @@ class TestPerComponentRule:
         assert report.verdict_basis == {"certificate": "none"}
         assert report.d1_canonical == pytest.approx(1.3123346456686, abs=1e-12)
         assert report.lambda1 == (9, 12)  # od-search improves on it (test_cli)
+
+
+def diamond():
+    """K4 minus the edge 1-2: squared products 5/8 at vertices 1 and 2 (exact),
+    the constant squared product of C4, so C4 plus a diamond ties exactly."""
+    return Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}))
+
+
+def assert_witness_ties(b, report):
+    """The report's tie dual is verified, ties D^1 bit for bit, leaves the
+    unshifted components' products bit for bit and puts every product of a
+    shifted component below the maximum."""
+    basis = report.verdict_basis
+    assert report.verdict == VERDICT_OD_SINGLE
+    assert basis["uniqueness"] == "not_unique" and basis["basis_dependent"] is True
+    assert basis["tie_d1"] == report.d1_canonical
+    d1, products = d1_fast(b.frame, dual_family_member(b, basis["tie_shifts"]))
+    assert d1 == basis["tie_d1"]
+    shifted = np.isin(b.column_component, basis["tie_components"])
+    assert shifted.any()
+    assert np.array_equal(products[~shifted], report.per_vertex_products[~shifted])
+    assert (products[shifted] < report.d1_canonical).all()
+
+
+class TestWitnessDual:
+    """Every ``OD_1_ERASURE`` report carries a tie dual that shifts each
+    component with a vertex outside ``lambda1`` strictly below the maximum;
+    when its D^1 undercuts the canonical one, the tie rule forged the claim."""
+
+    @pytest.mark.parametrize("build", [
+        FIXTURES["figure1"],
+        lambda: disjoint_union(c4_corona(), path(3)),
+        lambda: disjoint_union(cycle(4), diamond()),  # exact tie: every component meets lambda1
+        lambda: disjoint_union(diamond(), cycle(4)),
+    ], ids=["figure1", "c4_corona+p3", "c4+diamond", "diamond+c4"])
+    def test_genuine_ties_are_bit_for_bit(self, build):
+        b = build_lg_frame(build())
+        assert_witness_ties(b, canonical_verdict(b))
+
+    def test_exact_cross_component_tie_meets_lambda1_everywhere(self):
+        report = canonical_verdict(build_lg_frame(disjoint_union(cycle(4), diamond())))
+        assert report.lambda1 == (0, 1, 2, 3, 5, 6)
+        assert report.verdict_basis["tie_components"] == [1]
+
+    def test_random_constant_components_at_the_maximum(self):
+        # a cycle on top of one or two irregular components of lower maximum
+        rng = np.random.default_rng(29)
+        seen = 0
+        for _ in range(30):
+            g = cycle(int(rng.integers(4, 12)))
+            for _ in range(int(rng.integers(1, 3))):
+                g = disjoint_union(g, random_connected_graph(rng, 3, 7))
+            b = build_lg_frame(g)
+            report = canonical_verdict(b)
+            if report.verdict == VERDICT_OD_SINGLE:
+                assert_witness_ties(b, report)
+                seen += 1
+        assert seen >= 10
+
+    def test_forged_tie_is_refuted(self):
+        b = build_lg_frame(near_tie())
+        report = canonical_verdict(b)
+        assert 5 in report.lambda1  # G2's vertex 6, the true maximum
+        assert report.d1_canonical == pytest.approx(1.1607733854976168, rel=1e-12)
+        assert report.verdict == VERDICT_NOT_OD
+        basis = report.verdict_basis
+        assert basis["certificate"] == "tie_dual_below_canonical"
+        assert basis["tie_components"] == [0] and basis["basis_dependent"] is True
+        assert basis["tie_d1"] == pytest.approx(1.1607733849890514, rel=1e-12)  # C38(1,6)'s
+        assert basis["tie_d1"] < report.d1_canonical * (1 - 1e-12)
+        d1, _ = d1_fast(b.frame, dual_family_member(b, basis["tie_shifts"]))
+        assert d1 == basis["tie_d1"]
+
+    def test_forged_tie_through_the_cli(self):
+        file = fixture_path("near_tie")
+        assert parse_edge_list(file.read_text()).edges == near_tie().edges
+        code, out, _ = run_cli(["od-verdict", file])
+        assert code == 0
+        erasure_section = json.loads(out)["erasure"]
+        assert erasure_section["verdict"] == VERDICT_NOT_OD
+        assert 6 in erasure_section["lambda1_set"]
+        # the search gains only 5.1e-10 absolute, below the old absolute 1e-9
+        code, out, _ = run_cli(["od-search", file])
+        assert code == 0
+        assert json.loads(out)["erasure"]["search_best"]["improved"] is True
 
 
 class TestExactTreeOracles:
@@ -521,6 +612,27 @@ class TestExactTreeOracles:
         report = canonical_verdict(build_lg_frame(disjoint_union(tree, cycle(m))))
         assert report.verdict == VERDICT_OD_SINGLE
         assert report.lambda1 == tuple(range(self.N, self.N + m))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_products_within_rounding_of_exact(self, seed):
+        # the verdict's 1e-12 sits ten times above the float error at n = 300
+        g = random_tree(np.random.default_rng(seed), self.N)
+        exact = np.sqrt(np.array(tree_squared_products(g), dtype=float)) / self.N
+        products = canonical_verdict(build_lg_frame(g)).per_vertex_products
+        assert np.abs(products - exact).max() <= 1e-13 * exact.max()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_witness_lowers_d1(self, seed):
+        # the witness shift with Λ the exact argmax, through a verified dual
+        g = random_tree(np.random.default_rng(seed), self.N)
+        squared = tree_squared_products(g)
+        argmax = [i for i, s in enumerate(squared) if s == max(squared)]
+        b = build_lg_frame(g)
+        top, products = d1_fast(b.frame, b.canonical)
+        tie = erasure._witness_dual(b, argmax, products)
+        d1, shifted = d1_fast(b.frame, dual_family_member(b, tie["tie_shifts"]))
+        assert tie["tie_components"] == [0] and tie["tie_d1"] == d1
+        assert (shifted < top).all() and d1 < top * (1 - 1e-3)
 
     def test_two_copies_share_the_argmax(self):
         tree = random_tree(np.random.default_rng(2), self.N)
