@@ -48,7 +48,6 @@ from .erasure import (
     canonical_verdict,
     d1_fast,
     d_r,
-    d_r_lower_bound,
     perturbation_search,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "dual_family_member", "spark", "spark_via_components", "verify_dual",
     "VERDICT_INCONCLUSIVE", "VERDICT_NOT_OD", "VERDICT_OD_SINGLE",
     "VERDICT_UNIQUE_ALL", "ConstancyCertificate", "ErasureReport",
-    "SearchResult", "canonical_verdict", "d1_fast", "d_r", "d_r_lower_bound",
-    "perturbation_search",
+    "SearchResult", "canonical_verdict", "d1_fast", "d_r", "perturbation_search",
     "__version__",
 ]

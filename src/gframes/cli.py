@@ -8,9 +8,8 @@ taking only the options it reads; the report's ``config`` echoes them.
 Reports are emitted as JSON (the canonical machine format; see
 :data:`REPORT_SCHEMA`), CSV with one row per vertex for per-vertex
 quantities, or plain text. Output is byte-identical for identical input
-and options: floats are serialized with 12 significant digits, the
-search is deterministic, and the sampled lower bounds of ``dr-table``
-are seeded.
+and options: floats are serialized with 12 significant digits, and the
+search and the ``dr-table`` enumeration are deterministic.
 
 Vertex labels in reports are 1-based, matching the edge-list format.
 Exit codes: 0 success, 1 unusable input or options, 2 numerical failure or
@@ -43,7 +42,6 @@ from .erasure import (
     canonical_verdict,
     d1_fast,
     d_r,
-    d_r_lower_bound,
     perturbation_search,
 )
 
@@ -51,7 +49,7 @@ COMMANDS = ("graph-info", "frame-build", "frame-spark", "od-verdict", "od-search
 
 #: Options echoed into the report's ``config``, in order, when the command
 #: takes them and they hold a value.
-_ECHOED = ("seed", "emit_vectors", "output_format", "max_r", "shifts_file", "mc_samples")
+_ECHOED = ("emit_vectors", "output_format", "max_r", "shifts_file")
 
 #: Published schema of the JSON report (draft-07). Sections that do not
 #: apply to a command are omitted entirely, never null.
@@ -149,13 +147,11 @@ REPORT_SCHEMA = {
                         "type": "array",
                         "items": {
                             "type": "object",
-                            "required": ["r", "value"],
+                            "required": ["r", "value", "max_subset"],
                             "properties": {
                                 "r": {"type": "integer"},
                                 "value": {"type": "number"},
                                 "max_subset": {"type": "array", "items": {"type": "integer"}},
-                                "lower_bound": {"type": "boolean"},
-                                "samples": {"type": "integer"},
                             },
                         },
                     },
@@ -314,27 +310,19 @@ def _load_shifts(bundle, path: str):
     return dual_family_member(bundle, raw)
 
 
-def _dr_rows(frame, dual, args) -> list:
+def _dr_rows(frame, dual, max_r: int) -> list:
+    """One exact ``D^r`` row per r = 1..max_r (at most n − 1); refuses the
+    whole table before any row when one row would exceed ``DR_GUARD``."""
     n = frame.count
-    r_values = range(1, min(args.max_r, n - 1) + 1)
-    if args.mc_samples is None:
-        worst = max((math.comb(n, r) for r in r_values), default=0)
-        if worst > DR_GUARD:
-            raise EnumerationGuardError(
-                f"dr-table up to r={args.max_r} needs {worst} subsets in one row "
-                f"(guard {DR_GUARD}); pass --mc-samples for sampled lower bounds"
-            )
+    r_values = range(1, min(max_r, n - 1) + 1)
+    worst = max((math.comb(n, r) for r in r_values), default=0)
+    if worst > DR_GUARD:
+        raise EnumerationGuardError(
+            f"dr-table up to r={max_r} needs {worst} subsets in one row (guard {DR_GUARD})")
     rows = []
     for r in r_values:
-        sampled = math.comb(n, r) > DR_GUARD
-        if sampled:
-            value, subset = d_r_lower_bound(frame, dual, r, args.mc_samples, args.seed)
-        else:
-            value, subset = d_r(frame, dual, r)
-        row = {"r": r, "value": value, "max_subset": [v + 1 for v in subset]}
-        if sampled:
-            row.update(lower_bound=True, samples=args.mc_samples)
-        rows.append(row)
+        value, subset = d_r(frame, dual, r)  # positional: traces read r as args[2]
+        rows.append({"r": r, "value": value, "max_subset": [v + 1 for v in subset]})
     return rows
 
 
@@ -375,7 +363,7 @@ def build_report(args: argparse.Namespace) -> dict:
     duals = {"canonical": canonical_dual(bundle)}
     if args.shifts_file is not None:
         duals["custom"] = _load_shifts(bundle, args.shifts_file)
-    table = {label: _dr_rows(bundle.frame, dual, args) for label, dual in duals.items()}
+    table = {label: _dr_rows(bundle.frame, dual, args.max_r) for label, dual in duals.items()}
     d1_value, _ = d1_fast(bundle.frame, duals["canonical"])
     report["erasure"] = {"d1_canonical": d1_value, "dr_table": table}
     return report
@@ -388,14 +376,11 @@ def _render_csv(report: dict) -> str:
     erasure = report.get("erasure")
     frame = report.get("frame")
     if erasure is not None and "dr_table" in erasure:
-        writer.writerow(["dual", "r", "value", "lower_bound", "max_subset"])
+        writer.writerow(["dual", "r", "value", "max_subset"])
         for label, rows in erasure["dr_table"].items():
             for row in rows:
-                writer.writerow([
-                    label, row["r"], _fmt_float(row["value"]),
-                    row.get("lower_bound", False),
-                    " ".join(str(v) for v in row.get("max_subset", [])),
-                ])
+                writer.writerow([label, row["r"], _fmt_float(row["value"]),
+                                 " ".join(str(v) for v in row["max_subset"])])
         return out.getvalue()
     if report.get("spark") is not None:
         s = report["spark"]
@@ -464,9 +449,8 @@ def _render_text(report: dict) -> str:
     if erasure is not None and "dr_table" in erasure:
         for label, rows in erasure["dr_table"].items():
             for row in rows:
-                bound = " (lower bound)" if row.get("lower_bound") else ""
-                lines.append(f"D^{row['r']} [{label}]: {_fmt_float(row['value'])}{bound}"
-                             f" at {row.get('max_subset')}")
+                lines.append(f"D^{row['r']} [{label}]: {_fmt_float(row['value'])}"
+                             f" at {row['max_subset']}")
     return "\n".join(lines) + "\n"
 
 
@@ -489,21 +473,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _checked(convert, ok, rule: str):
-    """An argparse ``type`` that converts, then rejects values outside ``rule``."""
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
-        return value
-    return parse
-
-
-_AT_LEAST_ONE = _checked(int, lambda value: value >= 1, "at least 1")
-_MC_SAMPLES = _checked(int, lambda value: 1 <= value <= DR_GUARD, f"between 1 and {DR_GUARD}")
+def _at_least_one(text: str) -> int:
+    """``--max-r``'s argparse ``type``: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 @functools.cache
@@ -537,15 +515,10 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--emit-vectors", action="store_true",
                          help="include raw frame vectors (basis-dependent) in the frame section")
         if name == "dr-table":
-            cmd.add_argument("--seed", type=int, default=0,
-                             help="seed of the --mc-samples subset draws (default 0)")
-            cmd.add_argument("--max-r", type=_AT_LEAST_ONE, default=3,
+            cmd.add_argument("--max-r", type=_at_least_one, default=3,
                              help="largest erasure size R (default 3)")
             cmd.add_argument("--shifts-file", default=None,
                              help="JSON file with one shift vector per component; adds a 'custom' dual")
-            cmd.add_argument("--mc-samples", type=_MC_SAMPLES, default=None,
-                             help="Monte-Carlo sample count (1 to 10^6) for rows whose enumeration "
-                                  "exceeds the guard; values are lower bounds and labeled as such")
     return parser
 
 

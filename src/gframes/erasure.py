@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .exceptions import EnumerationGuardError
 from .frames import Frame, GraphFrameBundle, _dual_matrix, d1_fast, dual_family_member
-from .graphs import degree_sequence, is_regular
+from .graphs import _as_int, degree_sequence, is_regular
 from .walkreg import is_walk_regular
 
 VERDICT_UNIQUE_ALL = "UNIQUE_OD_ALL_ERASURES"
@@ -51,8 +51,8 @@ _TIE_TOL = 1e-9
 #: maximum on graphs of up to 7 vertices, and 2.2e-13 on 300-vertex trees.
 _ROUNDING_TOL = 1e-12
 #: Largest exhaustive subset enumeration :func:`d_r` runs.
-DR_GUARD = 10**6
-#: Subsets evaluated per batch of stacked r×r Gramian blocks.
+DR_GUARD = 5 * 10**6
+#: Subsets streamed per batch of stacked r×r Gramian blocks.
 _CHUNK = 4096
 
 
@@ -88,63 +88,44 @@ class ErasureReport:
     verdict_basis: dict
 
 
-def _worst_subset(frame: Frame, h: np.ndarray, subsets: np.ndarray) -> tuple:
-    """The largest error-operator norm over the erased sets in the rows of
-    ``subsets``, and the first row within a relative ``_TIE_TOL`` of it.
-    Each norm uses ``‖H_Λ F_Λ^T‖² = λmax(G_H[Λ,Λ] · G_F[Λ,Λ])``, whose r×r
-    product of positive semidefinite blocks has real, non-negative
-    eigenvalues; blocks are stacked ``_CHUNK`` subsets at a time."""
-    g_f, g_h = frame.gramian, h.T @ h
-    squares = np.empty(len(subsets))
-    for start in range(0, len(subsets), _CHUNK):
-        chunk = subsets[start:start + _CHUNK]
-        rows, cols = chunk[:, :, None], chunk[:, None, :]
-        eig = np.linalg.eigvals(g_h[rows, cols] @ g_f[rows, cols])
-        squares[start:start + _CHUNK] = eig.real.max(axis=1)
-    norms = np.sqrt(np.maximum(squares, 0.0))
-    top = float(norms.max())
-    first = int(np.argmax(norms >= top * (1.0 - _TIE_TOL)))
-    return top, tuple(int(i) for i in subsets[first])
-
-
-def _check_r(frame: Frame, r) -> None:
-    if not isinstance(r, int) or not 1 <= r < frame.count:
+def _check_r(frame: Frame, r) -> int:
+    """``r`` as an int in ``1..count-1`` by :class:`Graph`'s rule, else ``ValueError``."""
+    value = _as_int(r)
+    if value is None or not 1 <= value < frame.count:
         raise ValueError(f"need 1 <= r < {frame.count}, got {r!r}")
+    return value
 
 
 def d_r(frame: Frame, dual, r: int) -> tuple:
     """Exhaustive D^r: the largest error-operator norm over all r-subsets.
 
-    Returns ``(value, subset)``: the maximum, from one r×r eigenproblem on
-    Gramian blocks per subset, and the first r-subset of frame columns in
-    ``combinations`` order whose norm is within a relative 1e-9 of it, so
-    rounding never picks among tied subsets. Beyond the fixed guard
-    ``DR_GUARD`` (10^6 subsets) it raises :class:`EnumerationGuardError`
-    rather than subsample; :func:`d_r_lower_bound` is the sampled bound.
+    Returns ``(value, subset)``: the maximum, and the first r-subset of
+    frame columns in ``combinations`` order whose norm is within a relative
+    1e-9 of it, so rounding never picks among tied subsets. Each norm uses
+    ``‖H_Λ F_Λ^T‖² = λmax(G_H[Λ,Λ] · G_F[Λ,Λ])``, whose r×r product of
+    positive semidefinite blocks has real, non-negative eigenvalues. Subsets
+    stream ``_CHUNK`` at a time and only one float64 per subset is kept.
+    Beyond ``DR_GUARD`` (5·10^6 subsets) it raises :class:`EnumerationGuardError`.
     """
     h = _dual_matrix(frame, dual)
-    _check_r(frame, r)
+    r = _check_r(frame, r)
     total = math.comb(frame.count, r)
     if total > DR_GUARD:
-        raise EnumerationGuardError(
-            f"D^{r} needs {total} subsets (guard {DR_GUARD}); use d_r_lower_bound to sample"
-        )
-    flat = chain.from_iterable(combinations(range(frame.count), r))
-    subsets = np.fromiter(flat, dtype=np.intp, count=total * r).reshape(total, r)
-    return _worst_subset(frame, h, subsets)
-
-
-def d_r_lower_bound(frame: Frame, dual, r: int, samples: int, seed: int = 0) -> tuple:
-    """Monte-Carlo lower bound on D^r from ``samples`` random r-subsets;
-    a bound only, clearly weaker than the exhaustive maximum. The subset
-    returned is the first drawn within a relative 1e-9 of the bound."""
-    h = _dual_matrix(frame, dual)
-    _check_r(frame, r)
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    draws = [np.sort(rng.choice(frame.count, size=r, replace=False)) for _ in range(samples)]
-    return _worst_subset(frame, h, np.array(draws, dtype=np.intp))
+        raise EnumerationGuardError(f"D^{r} needs {total} subsets (guard {DR_GUARD})")
+    g_f, g_h = frame.gramian, h.T @ h
+    norms = np.empty(total)
+    subsets = combinations(range(frame.count), r)
+    for start in range(0, total, _CHUNK):
+        size = min(_CHUNK, total - start)
+        flat = chain.from_iterable(islice(subsets, size))
+        chunk = np.fromiter(flat, dtype=np.intp, count=size * r).reshape(size, r)
+        rows, cols = chunk[:, :, None], chunk[:, None, :]
+        eig = np.linalg.eigvals(g_h[rows, cols] @ g_f[rows, cols])
+        norms[start:start + size] = eig.real.max(axis=1)
+    np.sqrt(np.maximum(norms, 0.0, out=norms), out=norms)
+    top = float(norms.max())
+    first = int(np.argmax(norms >= top * (1.0 - _TIE_TOL)))
+    return top, next(islice(combinations(range(frame.count), r), first, None))
 
 
 def _constancy(products: np.ndarray) -> ConstancyCertificate:

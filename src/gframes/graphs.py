@@ -22,6 +22,16 @@ import numpy as np
 from .exceptions import EdgeListError
 
 
+def _as_int(value) -> Optional[int]:
+    """``value`` as an int (numpy integers included, ``bool`` excluded), else ``None``."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple graph on vertices ``0..n-1``.
@@ -37,22 +47,15 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            n = 0
-        if isinstance(self.n, bool) or n < 1:
+        n = _as_int(self.n)
+        if n is None or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", n)
         normalized = set()
         for edge in self.edges:
-            u, v = edge
-            try:
-                if isinstance(u, bool) or isinstance(v, bool):
-                    raise TypeError
-                u, v = operator.index(u), operator.index(v)
-            except TypeError:
-                raise ValueError(f"edge {edge!r} has a non-integer vertex label") from None
+            u, v = map(_as_int, edge)
+            if u is None or v is None:
+                raise ValueError(f"edge {edge!r} has a non-integer vertex label")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graphs import Graph, degree_sequence, is_regular
+from .graphs import Graph, _as_int, degree_sequence, is_regular
 from .linalg import eigh_symmetric, zero_threshold
 
 _INT64_MAX = 2**63 - 1
@@ -124,8 +124,12 @@ def is_walk_regular(g: Graph, laplacian_eigenvalues=None) -> WalkRegularityRepor
     ``laplacian_eigenvalues``, when the caller already holds them, is the
     Laplacian spectrum of ``g`` in non-increasing order, zeros included. On
     a d-regular graph A = dI − L, so A's eigenvalues are d − λ and need no
-    second eigensolve; otherwise A is decomposed here.
+    second eigensolve; otherwise A is decomposed here. A spectrum without
+    one value per vertex raises ``ValueError``.
     """
+    if laplacian_eigenvalues is not None and np.shape(laplacian_eigenvalues) != (g.n,):
+        raise ValueError(f"need {g.n} Laplacian eigenvalues, one per vertex, "
+                         f"got shape {np.shape(laplacian_eigenvalues)}")
     degree = is_regular(g)
     if degree is not None and laplacian_eigenvalues is not None:
         eigenvalues = degree - np.asarray(laplacian_eigenvalues, dtype=float)[::-1]
@@ -142,11 +146,13 @@ def is_walk_regular_definition(g: Graph, p_max: int) -> WalkRegularityReport:
     For ``p_max >= 1`` this is an oracle, not a proof — but constancy up to
     p_max = n decides the property in practice, and the test suite holds
     this checker and :func:`is_walk_regular` to identical verdicts.
+    ``p_max`` is an int (numpy integers included, ``bool`` excluded).
     """
-    if not isinstance(p_max, int) or p_max < 1:
+    power = _as_int(p_max)
+    if power is None or power < 1:
         raise ValueError(f"p_max must be a positive integer, got {p_max!r}")
     k = distinct_nonzero_eigenvalue_count(eigh_symmetric(g.adjacency).eigenvalues)
     try:
-        return _census(g, k, p_max)
+        return _census(g, k, power)
     except OverflowError as exc:
         raise OverflowError(f"{exc}; rerun with a smaller p_max") from None

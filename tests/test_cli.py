@@ -14,7 +14,6 @@ from jsonschema import validate
 
 from gframes import Graph, build_lg_frame, is_regular, parse_edge_list
 from gframes.cli import COMMANDS, REPORT_SCHEMA, _build_parser, render_json
-from gframes.erasure import DR_GUARD
 
 from _oracles import (
     FIXTURES,
@@ -35,10 +34,10 @@ OPTIONS = {
     "frame-spark": ("--format", "--emit-vectors"),
     "od-verdict": ("--format", "--emit-vectors"),
     "od-search": ("--format", "--emit-vectors"),
-    "dr-table": ("--format", "--emit-vectors", "--seed", "--max-r", "--shifts-file", "--mc-samples"),
+    "dr-table": ("--format", "--emit-vectors", "--max-r", "--shifts-file"),
 }
 #: A valid value for every option some command takes, and for the removed
-#: tolerance and search flags; ``None`` marks a switch.
+#: tolerance, search and sampling flags; ``None`` marks a switch.
 OPTION_VALUES = {
     "--format": "text", "--emit-vectors": None, "--seed": "5", "--trials": "7",
     "--radius": "0.5", "--max-r": "2", "--shifts-file": "shifts.json", "--mc-samples": "5",
@@ -46,12 +45,11 @@ OPTION_VALUES = {
 }
 #: The ``config`` key each option is echoed under.
 CONFIG_KEYS = {
-    "--format": "output_format", "--emit-vectors": "emit_vectors", "--seed": "seed",
-    "--max-r": "max_r",
-    "--shifts-file": "shifts_file", "--mc-samples": "mc_samples",
+    "--format": "output_format", "--emit-vectors": "emit_vectors", "--max-r": "max_r",
+    "--shifts-file": "shifts_file",
 }
 #: Options without a default, echoed only when given.
-NO_DEFAULT = ("--shifts-file", "--mc-samples")
+NO_DEFAULT = ("--shifts-file",)
 
 
 class TestExitCodes:
@@ -123,14 +121,6 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"gframes: out of memory: {message}\n"
 
-    def test_mc_samples_bounded_by_the_guard(self):
-        # refused while parsing: the input is never read and no draw is made
-        code, out, err = run_cli(["dr-table", "no/such/file.edges", "--mc-samples", "1000000000000"])
-        assert code == 1 and out == "" and "--mc-samples" in err and "no/such/file" not in err
-        code, _, _ = run_cli(["dr-table", fixture_path("k3"), "--max-r", "1",
-                              "--mc-samples", str(DR_GUARD)])
-        assert code == 0
-
     def test_guard_exceeded(self, tmp_path):
         rng = np.random.default_rng(0)
         n = 60
@@ -176,8 +166,8 @@ class TestExitCodes:
         ("od-search", "--radius"), ("dr-table", "--max-r"), ("dr-table", "--mc-samples"),
     ])
     def test_out_of_range_value_is_rejected(self, command, flag):
-        # neither od-verdict nor od-search takes --trials or --radius: they
-        # reject them as flags they do not take, before any range check
+        # neither od-verdict nor od-search takes --trials or --radius, nor
+        # dr-table --mc-samples: they reject them as flags they do not take
         code, out, err = run_cli([command, fixture_path("k3"), flag, "0"])
         assert code == 1 and out == "" and flag in err
 
@@ -243,19 +233,13 @@ class TestJsonReports:
         assert [row["r"] for row in rows] == [1, 2, 3]
 
     def test_dr_table_monte_carlo_rows(self, monkeypatch, tmp_path):
+        # no row is sampled: C(8,2) = 28 > 10 refuses the whole table
         import gframes.cli as cli_module
         monkeypatch.setattr(cli_module, "DR_GUARD", 10)
-        code, _, err = run_cli(["dr-table", fixture_path("figure2"), "--max-r", "2"])
-        assert code == 3 and "guard" in err
-        code, out, _ = run_cli([
-            "dr-table", fixture_path("figure2"), "--max-r", "2", "--mc-samples", "5",
-        ])
-        assert code == 0
-        rows = json.loads(out)["erasure"]["dr_table"]["canonical"]
-        assert "lower_bound" not in rows[0]             # C(8,1) = 8 <= 10: exact
-        assert rows[1]["lower_bound"] is True           # C(8,2) = 28 > 10: sampled
-        assert rows[1]["samples"] == 5
-        assert rows[1]["value"] <= 1.195228609 + 1e-9   # bounded by the exact D^2
+        code, out, err = run_cli(["dr-table", fixture_path("figure2"), "--max-r", "2"])
+        assert code == 3 and out == ""
+        assert err == ("gframes: enumeration guard exceeded: dr-table up to r=2 needs 28 "
+                       "subsets in one row (guard 10)\n")
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_dr_table_single_erasure_row_is_first_lambda1_vertex(self, name):
@@ -406,10 +390,10 @@ class TestJsonReports:
         assert "null" not in out
 
     def test_config_echoed(self):
-        _, out, _ = run_cli(["dr-table", fixture_path("k3"), "--seed", "5", "--max-r", "1"])
+        _, out, _ = run_cli(["dr-table", fixture_path("k3"), "--max-r", "1"])
         config = json.loads(out)["config"]
-        assert config["seed"] == 5
         assert config["max_r"] == 1
+        assert "seed" not in config and "mc_samples" not in config
         assert "zero_tol" not in config
         assert "tie_tol" not in config and "group_tol" not in config
 
@@ -425,13 +409,11 @@ class TestJsonReports:
         shifts.write_text("[[0.001, -0.001, 0, 0, 0, 0, 0]]")
         code, out, _ = run_cli([
             "dr-table", fixture_path("figure2"), "--max-r", "1", "--shifts-file", shifts,
-            "--mc-samples", "5",
         ])
         assert code == 0
         config = json.loads(out)["config"]
         assert config["shifts_file"] == str(shifts)
-        assert list(config) == [
-            "seed", "emit_vectors", "output_format", "max_r", "shifts_file", "mc_samples"]
+        assert list(config) == ["emit_vectors", "output_format", "max_r", "shifts_file"]
 
     def test_floats_have_at_most_12_significant_digits(self):
         _, out, _ = run_cli(["od-verdict", fixture_path("figure2")])
@@ -619,7 +601,7 @@ class TestOtherFormats:
     def test_csv_dr_table(self):
         _, out, _ = run_cli(["dr-table", fixture_path("k3"), "--max-r", "2", "--format", "csv"])
         lines = out.strip().splitlines()
-        assert lines[0] == "dual,r,value,lower_bound,max_subset"
+        assert lines[0] == "dual,r,value,max_subset"
         assert len(lines) == 3
 
     def test_text_verdict(self):

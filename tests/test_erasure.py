@@ -21,7 +21,6 @@ from gframes import (
     canonical_verdict,
     d1_fast,
     d_r,
-    d_r_lower_bound,
     degree_sequence,
     dual_family_member,
     is_regular,
@@ -172,9 +171,9 @@ class TestDR:
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_erasures_against_lapack(self, name):
-        """D^r and its lower bound against the explicit k×k error operators'
-        LAPACK norms, independent of the Gramian-block identity; the subset
-        reported is the first within a relative 1e-9 of the maximum."""
+        """D^r against the explicit k×k error operators' LAPACK norms,
+        independent of the Gramian-block identity; the subset reported is
+        the first within a relative 1e-9 of the maximum."""
         b = bundle_of(name)
         rng = np.random.default_rng(17)
         shifts = 0.1 * rng.standard_normal((b.component_count, b.frame.dim))
@@ -189,14 +188,6 @@ class TestDR:
             for r in range(1, min(3, n - 1) + 1):
                 expected, first = worst(dual, list(combinations(range(n), r)))
                 value, subset = d_r(b.frame, dual, r)
-                assert value == pytest.approx(expected, rel=1e-12, abs=1e-14)
-                assert subset == first
-
-                draws = np.random.default_rng(r)
-                sampled = [tuple(sorted(draws.choice(n, size=r, replace=False).tolist()))
-                           for _ in range(6)]
-                expected, first = worst(dual, sampled)
-                value, subset = d_r_lower_bound(b.frame, dual, r, samples=6, seed=r)
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-14)
                 assert subset == first
         if name == "k3":
@@ -238,23 +229,60 @@ class TestDR:
             assert values[0] <= values[1] + 1e-12
 
     def test_guard(self, monkeypatch):
-        monkeypatch.setattr(erasure, "DR_GUARD", 100)
+        # a guard of exactly C(n, r) runs, and one less refuses
         b = bundle_of("petersen")
-        with pytest.raises(EnumerationGuardError):
-            d_r(b.frame, canonical_dual(b), 5)
+        dual = canonical_dual(b)
+        expected = d_r(b.frame, dual, 3)
+        monkeypatch.setattr(erasure, "DR_GUARD", math.comb(10, 3))
+        assert d_r(b.frame, dual, 3) == expected
+        monkeypatch.setattr(erasure, "DR_GUARD", math.comb(10, 3) - 1)
+        with pytest.raises(EnumerationGuardError, match="D\\^3 needs 120 subsets"):
+            d_r(b.frame, dual, 3)
+
+    def test_guard_covers_triples_up_to_311_vertices(self):
+        assert math.comb(311, 3) <= erasure.DR_GUARD < math.comb(312, 3)
+        assert math.comb(106, 4) <= erasure.DR_GUARD < math.comb(107, 4)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_chunk_boundaries(self, name, monkeypatch):
+        """The stream's batch size changes neither the maximum nor the first
+        tied subset; Petersen, K3,3 and the two triangles have exact ties
+        that span batches of 7, and C4's span batches of 1."""
+        b = bundle_of(name)
+        rng = np.random.default_rng(23)
+        duals = (canonical_dual(b),
+                 dual_family_member(b, 0.1 * rng.standard_normal((b.component_count, b.frame.dim))))
+        rs = range(1, min(3, b.frame.count - 1) + 1)
+        expected = [d_r(b.frame, dual, r) for dual in duals for r in rs]
+        for chunk in (1, 7):
+            monkeypatch.setattr(erasure, "_CHUNK", chunk)
+            assert [d_r(b.frame, dual, r) for dual in duals for r in rs] == expected, chunk
+
+    def test_traced_peak_is_one_float_per_subset(self):
+        b = build_lg_frame(path(120))
+        dual = canonical_dual(b)
+        b.frame.gramian  # cached on first use, outside the traced call
+        tracemalloc.start()
+        try:
+            d_r(b.frame, dual, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * math.comb(120, 3) + 2 * 2**20
 
     def test_rejects_full_erasure(self):
         b = bundle_of("k3")
         with pytest.raises(ValueError):
             d_r(b.frame, canonical_dual(b), 3)
 
-    def test_lower_bound_below_exact(self):
+    def test_integer_r_follows_graph_rule(self):
         b = bundle_of("figure2")
         dual = canonical_dual(b)
-        exact, _ = d_r(b.frame, dual, 2)
-        bound, subset = d_r_lower_bound(b.frame, dual, 2, samples=10, seed=4)
-        assert bound <= exact + 1e-12
-        assert len(subset) == 2
+        assert d_r(b.frame, dual, np.int64(2)) == d_r(b.frame, dual, 2)
+        assert d_r(b.frame, dual, np.uint8(1)) == d_r(b.frame, dual, 1)
+        for bad in (True, False, 2.0, "2", None):
+            with pytest.raises(ValueError, match="need 1 <= r < 8"):
+                d_r(b.frame, dual, bad)
 
 
 class TestLambdaSetAndConstancy:

@@ -181,6 +181,19 @@ class TestAdjacencySpectrumFromLaplacian:
         # adjacency eigenvalues ±√2 and 0; the Laplacian's 3, 1, 0 would give three
         assert is_walk_regular(g, laplacian).distinct_nonzero_eigenvalue_count == 2
 
+    def test_short_spectrum_is_refused(self):
+        # K4 ∪ K3,3 is 3-regular but not walk-regular (closed 3-walks: 6 on
+        # K4, 0 on the bipartite K3,3); a one-value spectrum gave k = 1, and
+        # the census checked power 1 only and certified it
+        k33 = {(u, v) for u in range(4, 7) for v in range(7, 10)}
+        g = Graph(10, frozenset(set(combinations(range(4), 2)) | k33))
+        assert not is_walk_regular(g).is_walk_regular
+        for spectrum in ([0.0], np.zeros(9), np.zeros(11), np.zeros((10, 1))):
+            with pytest.raises(ValueError, match="one per vertex"):
+                is_walk_regular(g, spectrum)
+        with pytest.raises(ValueError, match="one per vertex"):
+            is_walk_regular(path3(), [0.0])  # irregular graphs check it too
+
 
 class TestIrregularAtScale:
     def test_census_stops_at_the_degrees(self):
@@ -226,6 +239,16 @@ class TestDefinitionPath:
     def test_rejects_bad_power(self):
         with pytest.raises(ValueError):
             is_walk_regular_definition(k3(), 0)
+
+    def test_integer_power_follows_graph_rule(self):
+        expected = is_walk_regular_definition(cubic8(), 3)
+        for power in (np.int64(3), np.uint8(3)):
+            report = is_walk_regular_definition(cubic8(), power)
+            assert report.checked_powers == expected.checked_powers
+            assert report.first_violation == expected.first_violation
+        for bad in (True, False, 3.0, "3", None):
+            with pytest.raises(ValueError, match="p_max must be a positive integer"):
+                is_walk_regular_definition(k3(), bad)
 
 
 def diagonal_spread(m) -> float:
